@@ -44,6 +44,7 @@ from .optimizer import (
 from .generator import GeneratedSample, sample_dataset, sample_dataset_1d
 from .io import (
     distance_matrix,
+    neighbor_order,
     read_csv,
     read_result,
     standardize,
@@ -78,6 +79,7 @@ __all__ = [
     "make_state",
     "multi_start",
     "neighbor_block",
+    "neighbor_order",
     "propose_move",
     "read_csv",
     "read_result",

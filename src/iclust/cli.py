@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure (flags, hyperparameters or data
 content), 2 I/O failure, 3 numerical failure in every restart. All commands
-are deterministic for a fixed --seed. The ICL_THREADS environment variable
-caps the sweep worker count (0 or unset means automatic).
+are deterministic for a fixed --seed. The combined search builds one --metric
+neighbour order (8*n^2 bytes) per command for all restarts and grid points.
+ICL_THREADS caps the sweep worker count (0 or unset means automatic).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .generator import sample_dataset, sample_dataset_1d
 from .icl import icl_exact
 from .io import (
-    distance_matrix,
+    distance_matrix,  # unused here; perfbench/worker.py wraps this attribute
+    neighbor_order,
     read_csv,
     read_labels_csv,
     standardize,
@@ -177,9 +179,9 @@ def cmd_cluster(args) -> int:
     data = _load_data(args)
     params = _build_params(args, data)
     config = _search_config(args)
-    dist = distance_matrix(data, args.metric) if args.algorithm == "combined" else None
+    order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     t0 = time.perf_counter()
-    solution = multi_start(data, params, config, dist, algorithm=args.algorithm)
+    solution = multi_start(data, params, config, order, algorithm=args.algorithm)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     if args.out:
         metadata = {
@@ -239,13 +241,6 @@ def _grid_rows(args, b: int):
     return varied, rows
 
 
-def _run_grid_row(args, data, dist, row, seed):
-    params = _build_params(args, data, overrides=row)
-    config = _search_config(args, seed=seed, overrides=row)
-    solution = multi_start(data, params, config, dist, algorithm=args.algorithm)
-    return solution
-
-
 def _sweep_workers(n_rows: int) -> int:
     raw = os.environ.get("ICL_THREADS", "0")
     try:
@@ -262,15 +257,16 @@ def cmd_sweep(args) -> int:
     varied, rows = _grid_rows(args, data.b)
     if not rows:
         raise ValueError("no grid flags given; nothing to sweep")
-    dist = distance_matrix(data, args.metric) if args.algorithm == "combined" else None
+    order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
 
     def run(idx_row):
         idx, row = idx_row
         seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,)).generate_state(1)[0])
         try:
-            sol = _run_grid_row(args, data, dist, row, seed)
-            return idx, sol, None
+            params = _build_params(args, data, overrides=row)
+            config = _search_config(args, seed=seed, overrides=row)
+            return idx, multi_start(data, params, config, order, algorithm=args.algorithm), None
         except (ValueError, NumericalError) as exc:
             # a bad grid point is reported in its row, the sweep goes on
             return idx, None, str(exc)

@@ -1,4 +1,4 @@
-"""Data ingestion, standardisation, distance matrices and result documents."""
+"""Data ingestion, standardisation, neighbour orders and result documents."""
 
 from __future__ import annotations
 
@@ -87,18 +87,38 @@ def standardize(data: DataSet):
     return DataSet((data.values - means) / sds), means, sds
 
 
+def _distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each of `rows` to every row of x, shape (len(rows), n)."""
+    diff = rows[:, None, :] - x[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if metric == "manhattan":
+        return np.sum(np.abs(diff), axis=-1)
+    raise ValueError(f"metric must be 'euclidean' or 'manhattan', got {metric!r}")
+
+
 def distance_matrix(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     """Dense pairwise distances; symmetric with an exactly zero diagonal."""
-    x = data.values
-    diff = x[:, None, :] - x[None, :, :]
-    if metric == "euclidean":
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-    elif metric == "manhattan":
-        d = np.sum(np.abs(diff), axis=-1)
-    else:
-        raise ValueError(f"metric must be 'euclidean' or 'manhattan', got {metric!r}")
-    d = np.triu(d, 1)
+    d = np.triu(_distances(data.values, data.values, metric), 1)
     return d + d.T
+
+
+def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
+    """Row i lists every observation by increasing (distance to i, index).
+
+    Rows are built 64 at a time from distance_matrix's expression, so only
+    the n x n index array is held. Rows with a tied distance are re-sorted
+    stably after the fast default argsort, so ties go by index.
+    """
+    order = np.empty((data.n, data.n), dtype=np.intp)
+    for lo in range(0, data.n, 64):
+        d = _distances(data.values[lo:lo + 64], data.values, metric)
+        idx = np.argsort(d, axis=1)
+        ranked = np.take_along_axis(d, idx, axis=1)
+        for r in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
+            idx[r] = np.argsort(d[r], kind="stable")
+        order[lo:lo + 64] = idx
+    return order
 
 
 def hyperparams_to_dict(params) -> dict:

@@ -5,10 +5,12 @@ observations in random order and reassigns each one to the group (or a fresh
 group) with the best post-move ICL. The combined variant instead proposes a
 whole nearest-neighbour block from the visited observation's group, with the
 block size drawn from a Beta-Binomial, which lets the search escape local
-optima that single-observation moves cannot leave.
+optima that single-observation moves cannot leave. Blocks are read off one
+neighbour order per dataset (io.neighbor_order), shared by every restart.
 
 Restarts are independent: each gets its own RNG stream and random initial
-allocation, and the best final ICL wins.
+allocation. Each final allocation is rescored with icl_exact, and the best
+exact ICL wins.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import icl as icl_mod
 from .model import Allocation, DataSet, HyperParams, NumericalError, validate_hyperparams
-from .io import distance_matrix
+from .io import distance_matrix, neighbor_order  # perfbench/worker.py wraps distance_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -90,39 +92,23 @@ def relabel_compact(z) -> Allocation:
     return Allocation(rank[np.searchsorted(uniq, arr)])
 
 
-def _sorted_row_orders(dist: np.ndarray) -> np.ndarray:
-    """Per-row observation order by (distance, index), computed once."""
-    n = dist.shape[0]
-    idx = np.arange(n)
-    return np.stack([np.lexsort((idx, dist[i])) for i in range(n)])
+def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
+                   beta1: float, beta2: float, rng) -> np.ndarray:
+    """Nearest-neighbour block of observation i inside its own group.
 
-
-def _block_from_order(i: int, labels: np.ndarray, row_order: np.ndarray,
-                      beta1: float, beta2: float, rng) -> np.ndarray:
-    ordered = row_order[i]
-    same = ordered[labels[ordered] == labels[i]]
+    Members are ranked by order[i] = neighbor_order(data)[i], i itself first.
+    The block is the first max(r, 1) of them with r ~ Binomial(group size,
+    eta) and eta ~ Beta(beta1, beta2), so it always contains i and is a
+    prefix of the ranked member list.
+    """
+    ranked = order[i]
+    same = ranked[labels[ranked] == labels[i]]
     if same[0] != i:
+        # a duplicate of i with a smaller index ranks ahead of it
         same = np.concatenate(([i], same[same != i]))
     eta = rng.beta(beta1, beta2)
     r = int(rng.binomial(same.size, eta))
     return same[: max(r, 1)]
-
-
-def neighbor_block(i: int, state, dist: np.ndarray, beta1: float, beta2: float, rng) -> np.ndarray:
-    """Nearest-neighbour block of observation i inside its own group.
-
-    Members are ordered by increasing distance to i, i itself first, ties by
-    ascending index. The block is the first max(r, 1) of them with
-    r ~ Binomial(group size, eta) and eta ~ Beta(beta1, beta2), so it always
-    contains i and is a prefix of the ordered member list.
-    """
-    members = state.members(int(state.labels[i]))
-    others = members[members != i]
-    order = np.lexsort((others, dist[i, others]))
-    ordered = np.concatenate(([i], others[order]))
-    eta = rng.beta(beta1, beta2)
-    r = int(rng.binomial(ordered.size, eta))
-    return ordered[: max(r, 1)]
 
 
 def _split_rng(rng):
@@ -137,14 +123,10 @@ def _allow_new(state, config: SearchConfig) -> bool:
 
 
 def _finish(state, trace, restart_id: int) -> Solution:
+    # report the exact objective of the final labels, not the sum of deltas
     alloc = relabel_compact(state.labels)
-    return Solution(
-        allocation=alloc,
-        K=alloc.K,
-        icl=state.icl,
-        trace=tuple(trace),
-        restart_id=restart_id,
-    )
+    return Solution(allocation=alloc, K=alloc.K, trace=tuple(trace), restart_id=restart_id,
+                    icl=icl_mod.icl_exact(state.data, alloc, state.params).total)
 
 
 def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, rng) -> Solution:
@@ -165,22 +147,22 @@ def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, r
 
 
 def greedy_combined_icl(data: DataSet, params: HyperParams, init, config: SearchConfig,
-                        dist: np.ndarray, rng) -> Solution:
+                        order: np.ndarray, rng) -> Solution:
     """Block greedy sweeps; a block move needs a strict improvement > epsilon.
 
-    Runs max_sweeps full sweeps. Because the block proposals are random, a
-    sweep without an accepted move is weak evidence of convergence, and
-    later sweeps regularly escape configurations that an earlier sweep could
-    not improve, so there is no early break.
+    Blocks come from order = neighbor_order(data). Runs max_sweeps full
+    sweeps. Because the block proposals are random, a sweep without an
+    accepted move is weak evidence of convergence, and later sweeps regularly
+    escape configurations that an earlier sweep could not improve, so there
+    is no early break.
     """
     state = icl_mod.make_state(data, init, params)
     order_rng, block_rng = _split_rng(rng)
-    row_order = _sorted_row_orders(dist)
     trace = [(0, state.icl)]
     for sweep in range(1, config.max_sweeps + 1):
         for i in order_rng.permutation(data.n):
-            block = _block_from_order(i, state.labels, row_order,
-                                      config.beta1, config.beta2, block_rng)
+            block = neighbor_block(i, state.labels, order,
+                                   config.beta1, config.beta2, block_rng)
             prop = icl_mod.best_move(state, block, allow_new=_allow_new(state, config))
             if prop.target != prop.source and prop.delta > config.epsilon:
                 icl_mod.apply_move(state, prop)
@@ -189,7 +171,7 @@ def greedy_combined_icl(data: DataSet, params: HyperParams, init, config: Search
 
 
 def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
-                dist: Optional[np.ndarray] = None, algorithm: str = "combined") -> Solution:
+                order: Optional[np.ndarray] = None, algorithm: str = "combined") -> Solution:
     """Best of config.restarts independent searches from random allocations.
 
     Initial allocations draw labels uniformly from 1..k_init with
@@ -201,10 +183,9 @@ def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
     if algorithm not in ("combined", "plain"):
         raise ValueError(f"algorithm must be 'combined' or 'plain', got {algorithm!r}")
     validate_hyperparams(params, data.b)
-    if algorithm == "combined" and dist is None:
-        dist = distance_matrix(data)
-    k_init = config.k_max if config.k_max is not None else 20
-    k_init = min(k_init, data.n)
+    if algorithm == "combined" and order is None:
+        order = neighbor_order(data)
+    k_init = min(config.k_max or 20, data.n)
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: Optional[Solution] = None
     bests = []
@@ -213,7 +194,7 @@ def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
         init = relabel_compact(rng.integers(1, k_init + 1, size=data.n))
         try:
             if algorithm == "combined":
-                sol = greedy_combined_icl(data, params, init, config, dist, rng)
+                sol = greedy_combined_icl(data, params, init, config, order, rng)
             else:
                 sol = greedy_icl(data, params, init, config, rng)
         except NumericalError as exc:

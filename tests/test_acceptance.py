@@ -29,7 +29,7 @@ from iclust import (
 )
 from iclust.cli import main
 from iclust.icl import allocation_log_prior
-from iclust.io import distance_matrix
+from iclust.io import neighbor_order
 from iclust.model import GroupStats
 from iclust.optimizer import greedy_combined_icl
 
@@ -319,13 +319,13 @@ def test_criterion_6_block_escape():
     no_single = max(single_deltas) <= 0.0
     block = state.members(1)
     block_gain = icl_delta(state, block, 2)
-    dist = distance_matrix(data)
+    order = neighbor_order(data)
     config = SearchConfig(max_sweeps=15, restarts=1, seed=0)
     start = state.icl
     wins = 0
     for s in range(100):
         sol = greedy_combined_icl(data, params, Allocation(z_split.copy()), config,
-                                  dist, np.random.default_rng(s))
+                                  order, np.random.default_rng(s))
         if sol.icl > start + 1e-10:
             wins += 1
     ok = no_single and block_gain > 0 and wins >= 80
@@ -341,13 +341,13 @@ TABLE2_GRID = list(itertools.product((0.1, 1.0, 10.0), (0.1, 0.01), (0.5, 4.0, 1
 
 
 def _run_table2_grid(data, seed0):
-    dist = distance_matrix(data)
+    order = neighbor_order(data)
     ks = []
     for i, (omega, tau, alpha) in enumerate(TABLE2_GRID):
         params = MvHyperParams(alpha=alpha, tau=tau, mu=data.values.mean(axis=0),
                                nu=3.0, omega=omega)
         config = SearchConfig(max_sweeps=15, restarts=10, k_max=20, seed=seed0 + i)
-        ks.append(multi_start(data, params, config, dist).K)
+        ks.append(multi_start(data, params, config, order).K)
     return ks
 
 
@@ -378,7 +378,7 @@ def test_criterion_8_scale_runtime():
     assert sample.allocation.K == 4
     data = sample.data
     t0 = time.perf_counter()
-    dist = distance_matrix(data)
+    order = neighbor_order(data)
     ks = []
     for i, (tau, omega) in enumerate(itertools.product((0.1, 0.01), (0.1, 1.0, 10.0))):
         params = MvHyperParams(alpha=4.0, tau=tau, mu=data.values.mean(axis=0),
@@ -387,7 +387,7 @@ def test_criterion_8_scale_runtime():
         # 600-point experiment this reproduces
         config = SearchConfig(max_sweeps=10, restarts=10, k_max=20,
                               beta1=0.2, beta2=0.04, seed=8000 + i)
-        ks.append(multi_start(data, params, config, dist).K)
+        ks.append(multi_start(data, params, config, order).K)
     elapsed = time.perf_counter() - t0
     identical = len(set(ks)) == 1
     ok = identical and elapsed < 60.0

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iclust import Allocation, DataSet, MvHyperParams, Solution, UvHyperParams
 from iclust.io import (
     distance_matrix,
     hyperparams_to_dict,
+    neighbor_order,
     read_csv,
     read_labels_csv,
     read_result,
@@ -109,6 +113,41 @@ class TestDistanceMatrix:
         d1 = distance_matrix(standardize(DataSet(raw))[0])
         d2 = distance_matrix(standardize(DataSet(scaled))[0])
         assert np.max(np.abs(d1 - d2)) < 1e-10
+
+
+@st.composite
+def grid_points(draw):
+    # a small integer grid makes duplicate points and tied distances common
+    # n past 64 spans more than one row block of neighbor_order
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 150))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * b, max_size=n * b))
+    return DataSet(np.array(cells, dtype=float).reshape(n, b))
+
+
+class TestNeighborOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(data=grid_points(), metric=st.sampled_from(["euclidean", "manhattan"]))
+    def test_rows_are_lexsort_of_distance_matrix(self, data, metric):
+        dist = distance_matrix(data, metric)
+        order = neighbor_order(data, metric)
+        idx = np.arange(data.n)
+        assert order.shape == (data.n, data.n) and order.dtype == np.intp
+        for i in range(data.n):
+            assert np.array_equal(order[i], np.lexsort((idx, dist[i])))
+
+    def test_peak_memory_below_two_index_arrays(self):
+        # the n x n index array is 8 n^2 bytes; a dense distance matrix with
+        # its n x n x b temporaries would peak near 7 times that at b = 3
+        n = 2000
+        data = DataSet(np.random.default_rng(0).standard_normal((n, 3)))
+        tracemalloc.start()
+        try:
+            neighbor_order(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 n^2 bytes"
 
 
 class TestResultDocument:

@@ -15,8 +15,9 @@ from iclust import (
     multi_start,
     neighbor_block,
     relabel_compact,
+    sample_dataset,
 )
-from iclust.io import distance_matrix
+from iclust.io import distance_matrix, neighbor_order
 
 from oracles import brute_force_max_icl
 
@@ -61,23 +62,25 @@ class TestNeighborBlock:
     def test_singleton_group(self, mv_params):
         data = DataSet(np.random.default_rng(1).standard_normal((5, 2)))
         state = make_state(data, np.array([1, 2, 2, 2, 2]), mv_params)
-        dist = distance_matrix(data)
-        block = neighbor_block(0, state, dist, 0.1, 0.01, np.random.default_rng(0))
+        block = neighbor_block(0, state.labels, neighbor_order(data), 0.1, 0.01,
+                               np.random.default_rng(0))
         assert block.tolist() == [0]
 
     def test_eta_floor_gives_singleton(self):
         data, state = self.setup_state()
-        dist = distance_matrix(data)
         # beta parameters forcing eta towards zero, r = 0, floor kicks in
-        block = neighbor_block(3, state, dist, 1e-9, 1e6, np.random.default_rng(7))
+        block = neighbor_block(3, state.labels, neighbor_order(data), 1e-9, 1e6,
+                               np.random.default_rng(7))
         assert block.tolist() == [3]
 
     def test_block_is_prefix_of_sorted_members(self):
         data, state = self.setup_state(3)
+        # independent oracle: members sorted by (dist[i, j], j) on the dense matrix
         dist = distance_matrix(data)
+        order = neighbor_order(data)
         rng = np.random.default_rng(11)
         for i in range(20):
-            block = neighbor_block(i, state, dist, 0.5, 0.5, rng)
+            block = neighbor_block(i, state.labels, order, 0.5, 0.5, rng)
             g = int(state.labels[i])
             members = state.members(g)
             others = [j for j in members if j != i]
@@ -86,6 +89,17 @@ class TestNeighborBlock:
             assert block.tolist() == expected[: len(block)]
             assert block[0] == i
             assert set(block).issubset(set(members.tolist()))
+
+    def test_draws_beta_then_binomial(self):
+        # seeded runs reproduce only while the picker's RNG use is unchanged
+        data, state = self.setup_state(5)
+        order = neighbor_order(data)
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        for i in range(20):
+            size = int(np.sum(state.labels == state.labels[i]))
+            eta = twin.beta(0.5, 0.5)
+            r = int(twin.binomial(size, eta))
+            assert len(neighbor_block(i, state.labels, order, 0.5, 0.5, rng)) == max(r, 1)
 
 
 class TestGreedyIcl:
@@ -173,10 +187,9 @@ class TestGreedyCombined:
         params = MvHyperParams(alpha=4.0, tau=0.1, mu=data.values.mean(axis=0),
                                nu=3.0, omega=1.0)
         init = relabel_compact(np.random.default_rng(4).integers(1, 4, size=10))
-        dist = distance_matrix(data)
         config = SearchConfig(max_sweeps=6, restarts=1, beta1=1e-9, beta2=1e9, seed=0)
         sol_plain = greedy_icl(data, params, init, config, np.random.default_rng(42))
-        sol_comb = greedy_combined_icl(data, params, init, config, dist,
+        sol_comb = greedy_combined_icl(data, params, init, config, neighbor_order(data),
                                        np.random.default_rng(42))
         assert sol_plain.allocation.labels.tolist() == sol_comb.allocation.labels.tolist()
         assert sol_plain.icl == pytest.approx(sol_comb.icl, abs=1e-10)
@@ -216,10 +229,9 @@ class TestGreedyCombined:
         assert block.size == 6
         assert icl_delta(state, block, 2) > 1.0
         # the combined search escapes
-        dist = distance_matrix(data)
         config = SearchConfig(max_sweeps=15, restarts=1, seed=0)
-        sol = greedy_combined_icl(data, params, Allocation(z_split), config, dist,
-                                  np.random.default_rng(3))
+        sol = greedy_combined_icl(data, params, Allocation(z_split), config,
+                                  neighbor_order(data), np.random.default_rng(3))
         assert sol.icl > state.icl + 1e-6
 
 
@@ -234,7 +246,7 @@ class TestMultiStart:
         stream = np.random.SeedSequence(77).spawn(1)[0]
         rng = np.random.default_rng(stream)
         init = relabel_compact(rng.integers(1, 6, size=data.n))
-        ref = greedy_combined_icl(data, params, init, config, distance_matrix(data), rng)
+        ref = greedy_combined_icl(data, params, init, config, neighbor_order(data), rng)
         assert sol.allocation.labels.tolist() == ref.allocation.labels.tolist()
         assert sol.icl == ref.icl
 
@@ -269,6 +281,19 @@ class TestMultiStart:
         config = SearchConfig(max_sweeps=5, restarts=3, k_max=5, seed=1)
         sol = multi_start(data, params, config)
         assert sol.icl == pytest.approx(icl_exact(data, sol.allocation, params).total, abs=1e-8)
+
+    def test_icl_is_exact_far_from_origin(self):
+        # at a 1e8 offset the delta-accumulated score drifts by about 1e-4
+        # here; the reported value and every restart's best must be exact
+        gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(2), nu=3.0, omega=0.5)
+        sample = sample_dataset(150, 4, gen, np.random.default_rng(2))
+        data = DataSet(sample.data.values + 1e8)
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
+                               nu=3.0, omega=1.0)
+        config = SearchConfig(max_sweeps=4, restarts=3, k_max=10, seed=6)
+        sol = multi_start(data, params, config)
+        assert sol.icl == icl_exact(data, sol.allocation, params).total
+        assert max(sol.restart_bests) == sol.icl
 
     def test_all_restarts_failing_raises(self, monkeypatch):
         from iclust.model import NumericalError
