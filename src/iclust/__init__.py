@@ -15,10 +15,7 @@ from .model import (
     MvHyperParams,
     NumericalError,
     UvHyperParams,
-    stats_add,
     stats_downdate,
-    stats_merge,
-    stats_remove,
     validate_hyperparams,
 )
 from .icl import (
@@ -30,7 +27,6 @@ from .icl import (
     icl_delta,
     icl_exact,
     make_state,
-    propose_move,
 )
 from .optimizer import (
     SearchConfig,
@@ -80,17 +76,13 @@ __all__ = [
     "multi_start",
     "neighbor_block",
     "neighbor_order",
-    "propose_move",
     "read_csv",
     "read_result",
     "relabel_compact",
     "sample_dataset",
     "sample_dataset_1d",
     "standardize",
-    "stats_add",
     "stats_downdate",
-    "stats_merge",
-    "stats_remove",
     "validate_hyperparams",
     "write_csv",
     "write_result",

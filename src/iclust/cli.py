@@ -3,18 +3,16 @@
 Exit codes: 0 success, 1 validation failure (flags, hyperparameters or data
 content), 2 I/O failure, 3 numerical failure in every restart. All commands
 are deterministic for a fixed --seed. The combined search builds one --metric
-neighbour order (8*n^2 bytes) per command for all restarts and grid points.
-ICL_THREADS caps the sweep worker count (0 or unset means automatic).
+neighbour order (8*n^2 bytes) per command for all restarts and grid points,
+and sweep runs its grid points one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -241,17 +239,6 @@ def _grid_rows(args, b: int):
     return varied, rows
 
 
-def _sweep_workers(n_rows: int) -> int:
-    raw = os.environ.get("ICL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_rows))
-
-
 def cmd_sweep(args) -> int:
     data = _load_data(args)
     varied, rows = _grid_rows(args, data.b)
@@ -259,30 +246,20 @@ def cmd_sweep(args) -> int:
         raise ValueError("no grid flags given; nothing to sweep")
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
-
-    def run(idx_row):
-        idx, row = idx_row
+    results = []
+    for idx, row in enumerate(rows):
         seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,)).generate_state(1)[0])
         try:
             params = _build_params(args, data, overrides=row)
             config = _search_config(args, seed=seed, overrides=row)
-            return idx, multi_start(data, params, config, order, algorithm=args.algorithm), None
+            results.append((multi_start(data, params, config, order, algorithm=args.algorithm), None))
         except (ValueError, NumericalError) as exc:
             # a bad grid point is reported in its row, the sweep goes on
-            return idx, None, str(exc)
-
-    workers = _sweep_workers(len(rows))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, enumerate(rows)))
-    else:
-        results = [run(item) for item in enumerate(rows)]
-    results.sort(key=lambda r: r[0])
+            results.append((None, str(exc)))
 
     headers = list(varied) + ["k", "ICL_ex"]
     table = []
-    for idx, sol, err in results:
-        row = rows[idx]
+    for row, (sol, err) in zip(rows, results):
         cells = [f"{row[v]:g}" for v in varied]
         if sol is None:
             cells += ["-", f"failed: {err}"]
@@ -297,8 +274,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         # shortest round-trip floats: exact on re-read, unlike the rounded table
         lines = [",".join(list(varied) + ["k", "icl_ex", "error"])]
-        for idx, sol, err in results:
-            row = rows[idx]
+        for row, (sol, err) in zip(rows, results):
             cells = [repr(row[v]) for v in varied]
             if sol is None:
                 cells += ["", "", err]

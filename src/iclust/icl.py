@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,7 +56,6 @@ from .model import (
     NumericalError,
     UvHyperParams,
     stats_downdate,
-    stats_merge,
     validate_hyperparams,
 )
 
@@ -196,12 +195,6 @@ def group_log_evidence_1d(stats: GroupStats, params: UvHyperParams) -> float:
     return float(_batch_evidence_uv(np.array([stats.n]), np.array([mean]), np.array([m2]), params)[0])
 
 
-def _group_evidence(stats: GroupStats, params: HyperParams) -> float:
-    if isinstance(params, UvHyperParams):
-        return group_log_evidence_1d(stats, params)
-    return group_log_evidence(stats, params)
-
-
 def allocation_log_prior(group_counts: Sequence[int], alpha: float, n: int) -> float:
     """Log Dirichlet-multinomial mass of one labelled allocation.
 
@@ -244,13 +237,8 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     validate_hyperparams(params, data.b)
-    evidences = []
-    for g in range(1, alloc.K + 1):
-        rows = data.values[alloc.labels == g]
-        evidences.append(_group_evidence(GroupStats.from_points(rows), params))
-    data_term = math.fsum(evidences)
-    prior_term = allocation_log_prior(alloc.group_counts(), params.alpha, data.n)
-    return IclValue(total=data_term + prior_term, data_term=data_term, prior_term=prior_term)
+    _, _, _, evidence, prior_term, total = _build_arrays(data, alloc.labels, params)
+    return IclValue(total=total, data_term=math.fsum(evidence.tolist()), prior_term=prior_term)
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +286,6 @@ def refresh_state(state: ClusterState) -> None:
     state.icl = icl
 
 
-def _prior_delta_existing(k: int, alpha: float, n: int, n_src: int, n_tgt: int, m: int) -> float:
-    """Allocation prior change when m observations move to an existing group."""
-    d = (
-        math.lgamma(alpha + n_tgt + m)
-        - math.lgamma(alpha + n_tgt)
-        - math.lgamma(alpha + n_src)
-    )
-    if m < n_src:
-        return d + math.lgamma(alpha + n_src - m)
-    # the source group empties, K drops by one
-    return (
-        d
-        + math.lgamma(alpha)
-        + math.lgamma((k - 1) * alpha)
-        - math.lgamma(k * alpha)
-        - math.lgamma((k - 1) * alpha + n)
-        + math.lgamma(k * alpha + n)
-    )
-
-
 def _prior_delta_new(k: int, alpha: float, n: int, n_src: int, m: int) -> float:
     """Allocation prior change when m observations open a fresh group."""
     if m == n_src:
@@ -336,11 +304,16 @@ def _prior_delta_new(k: int, alpha: float, n: int, n_src: int, m: int) -> float:
 
 @dataclass
 class MoveProposal:
-    """Evaluated reallocation of a same-group block to one target group.
+    """Best reallocation of a same-group block, with the delta of every target.
 
-    Carries everything apply_move needs so an accepted move never recomputes:
-    the post-move statistics and evidence of the source and target groups, the
-    post-move allocation prior and the exact ICL delta.
+    deltas[t - 1] is the exact ICL change of moving the block to existing
+    group t (exactly zero for the source) and new_delta that of opening a
+    fresh group (-inf when none is offered). target is the first maximiser,
+    the fresh group last; target == source means staying put, which
+    apply_move ignores. The remaining fields carry everything apply_move
+    needs so an accepted move never recomputes: the post-move statistics and
+    evidence of the source and target groups and the post-move allocation
+    prior.
     """
 
     block: np.ndarray
@@ -348,13 +321,13 @@ class MoveProposal:
     target: int
     is_new: bool
     delta: float
-    noop: bool = False
-    src_stats: Optional[GroupStats] = None
-    src_ev: float = 0.0
-    tgt_stats: Optional[GroupStats] = None
-    tgt_ev: float = 0.0
-    prior_after: float = 0.0
-    candidates_evaluated: int = 0
+    deltas: np.ndarray
+    new_delta: float
+    src_stats: GroupStats
+    src_ev: float
+    tgt_stats: GroupStats
+    tgt_ev: float
+    prior_after: float
 
 
 def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
@@ -365,98 +338,33 @@ def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
     return source
 
 
-def _noop_proposal(block: np.ndarray, source: int, target: int, state: ClusterState) -> MoveProposal:
-    return MoveProposal(
-        block=block, source=source, target=target, is_new=False,
-        delta=0.0, noop=True, prior_after=state.prior_term,
-    )
-
-
-def propose_move(state: ClusterState, block, target: int) -> MoveProposal:
-    """Evaluate moving a block to a target group without mutating the state.
+def icl_delta(state: ClusterState, block, target: int) -> float:
+    """Exact ICL change of moving a block to a target group; state untouched.
 
     target may be any existing group label or K + 1 for a fresh group. The
-    delta equals the difference of full ICL evaluations; only the source
-    group, target group and prior terms are recomputed.
+    value is the matching entry of best_move's per-target deltas.
     """
     block = np.asarray(block, dtype=np.int64).ravel()
-    params = state.params
     if block.size == 0:
-        return _noop_proposal(block, 0, int(target), state)
-    source = _source_group_of(state, block)
+        return 0.0
     k = state.k
     target = int(target)
     if not 1 <= target <= k + 1:
         raise ValueError(f"target must be in 1..{k + 1}, got {target}")
-    if target == source:
-        return _noop_proposal(block, source, target, state)
-
-    is_new = target == k + 1
-    s = source - 1
-    n_src = int(state.counts[s])
-    block_stats = GroupStats.from_points(state.data.values[block])
-    m = block_stats.n
-    src_view = GroupStats(n_src, state.means[s], state.scatters[s])
-    src_after = stats_downdate(src_view, block_stats)
-    src_ev_after = _group_evidence(src_after, params)
-
-    if is_new and src_after.n == 0:
-        # the whole group moves to a fresh label: data terms relabel, prior
-        # terms cancel, the delta is exactly zero
-        return MoveProposal(
-            block=block, source=source, target=target, is_new=True,
-            delta=0.0,
-            src_stats=src_after, src_ev=0.0,
-            tgt_stats=GroupStats(n_src, state.means[s].copy(), state.scatters[s].copy()),
-            tgt_ev=float(state.group_evidence[s]),
-            prior_after=state.prior_term,
-        )
-
-    if is_new:
-        tgt_after = block_stats
-        tgt_ev_before = 0.0
-        dprior = _prior_delta_new(k, params.alpha, state.data.n, n_src, m)
-    else:
-        t = target - 1
-        tgt_view = GroupStats(int(state.counts[t]), state.means[t], state.scatters[t])
-        tgt_after = stats_merge(tgt_view, block_stats)
-        tgt_ev_before = float(state.group_evidence[t])
-        dprior = _prior_delta_existing(k, params.alpha, state.data.n, n_src, int(state.counts[t]), m)
-    tgt_ev_after = _group_evidence(tgt_after, params)
-    delta = (src_ev_after - float(state.group_evidence[s])) + (tgt_ev_after - tgt_ev_before) + dprior
-    return MoveProposal(
-        block=block, source=source, target=target, is_new=is_new,
-        delta=delta,
-        src_stats=src_after, src_ev=src_ev_after,
-        tgt_stats=tgt_after, tgt_ev=tgt_ev_after,
-        prior_after=state.prior_term + dprior,
-    )
-
-
-def icl_delta(state: ClusterState, block, target: int, data=None, params=None) -> float:
-    """Exact ICL change of moving a block to a target group; state untouched.
-
-    data and params default to the ones the state was built from and are
-    accepted only so callers can be explicit.
-    """
-    if data is not None and data is not state.data:
-        raise ValueError("data does not match the data the state was built from")
-    if params is not None and params is not state.params:
-        raise ValueError("params do not match the params the state was built from")
-    return propose_move(state, block, target).delta
+    prop = best_move(state, block)
+    return prop.new_delta if target == k + 1 else float(prop.deltas[target - 1])
 
 
 def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposal:
-    """Evaluate every candidate target for a block and return the best move.
+    """Evaluate every candidate target for a non-empty block; return the best.
 
     Candidates are all current groups (staying put scores exactly zero) plus
     one fresh group when allow_new is set. Ties go to the smallest group
     label, with the fresh group last. All existing targets are evaluated in
-    one vectorised batch.
+    one vectorised batch, and the delta of every candidate is kept on the
+    proposal.
     """
     block = np.asarray(block, dtype=np.int64).ravel()
-    if block.size == 0:
-        return _noop_proposal(block, 0, 1, state)
     params = state.params
     data = state.data
     source = _source_group_of(state, block)
@@ -513,57 +421,30 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
         deltas = (src_ev_after - src_ev_before) + (ev_after - state.group_evidence) + dprior
         deltas[s] = 0.0
 
-    best_idx = int(np.argmax(deltas))           # first maximiser, smallest label
-    best_delta = float(deltas[best_idx])
-    n_candidates = k
-
+    t = int(np.argmax(deltas))           # first maximiser, smallest label
     new_delta = -math.inf
-    new_ev = 0.0
     if allow_new:
-        n_candidates += 1
-        if src_empties:
-            new_delta = 0.0
-        else:
-            new_ev = float(ev_stack[k + 1])
-            new_delta = (
-                (src_ev_after - src_ev_before)
-                + new_ev
-                + _prior_delta_new(k, alpha, n, n_src, m)
-            )
-
-    if allow_new and new_delta > best_delta:
-        if src_empties:
-            prop = MoveProposal(
-                block=block, source=source, target=k + 1, is_new=True,
-                delta=0.0,
-                src_stats=src_after, src_ev=0.0,
-                tgt_stats=GroupStats(n_src, state.means[s].copy(), state.scatters[s].copy()),
-                tgt_ev=src_ev_before,
-                prior_after=state.prior_term,
-            )
-        else:
-            prop = MoveProposal(
-                block=block, source=source, target=k + 1, is_new=True,
-                delta=new_delta,
-                src_stats=src_after, src_ev=src_ev_after,
-                tgt_stats=block_stats, tgt_ev=new_ev,
-                prior_after=state.prior_term + _prior_delta_new(k, alpha, n, n_src, m),
-            )
-    elif best_idx == s:
-        prop = _noop_proposal(block, source, source, state)
-    else:
-        tgt_after = GroupStats(
-            int(n_after[best_idx]), means_after[best_idx].copy(), scat_after[best_idx].copy()
-        )
-        prop = MoveProposal(
-            block=block, source=source, target=best_idx + 1, is_new=False,
-            delta=best_delta,
+        new_ev = float(ev_stack[k + 1])
+        dprior_new = _prior_delta_new(k, alpha, n, n_src, m)
+        # a whole group moving to a fresh label only relabels: exactly zero,
+        # so it never beats staying put
+        new_delta = 0.0 if src_empties else (src_ev_after - src_ev_before) + new_ev + dprior_new
+    if new_delta > deltas[t]:
+        return MoveProposal(
+            block=block, source=source, target=k + 1, is_new=True,
+            delta=new_delta, deltas=deltas, new_delta=new_delta,
             src_stats=src_after, src_ev=src_ev_after,
-            tgt_stats=tgt_after, tgt_ev=float(ev_after[best_idx]),
-            prior_after=state.prior_term + float(dprior[best_idx]),
+            tgt_stats=block_stats, tgt_ev=new_ev,
+            prior_after=state.prior_term + dprior_new,
         )
-    prop.candidates_evaluated = n_candidates
-    return prop
+    return MoveProposal(
+        block=block, source=source, target=t + 1, is_new=False,
+        delta=float(deltas[t]), deltas=deltas, new_delta=new_delta,
+        src_stats=src_after, src_ev=src_ev_after,
+        tgt_stats=GroupStats(int(n_after[t]), means_after[t], scat_after[t]),
+        tgt_ev=float(ev_after[t]),
+        prior_after=state.prior_term + float(dprior[t]),
+    )
 
 
 def _compact_after_deletion(state: ClusterState) -> None:
@@ -584,7 +465,7 @@ def _compact_after_deletion(state: ClusterState) -> None:
 
 def apply_move(state: ClusterState, prop: MoveProposal) -> None:
     """Apply an accepted proposal to the state, updating all cached terms."""
-    if prop.noop or prop.target == prop.source:
+    if prop.target == prop.source:
         return
     s = prop.source - 1
     if prop.is_new:

@@ -6,7 +6,7 @@ that the search optimises over, and the per-group sufficient statistics
 
 Everything except ClusterState is immutable after construction and can be
 shared freely across concurrent restarts. A ClusterState is owned and mutated
-by exactly one search thread.
+by exactly one search.
 """
 
 from __future__ import annotations
@@ -240,48 +240,6 @@ class GroupStats:
         return GroupStats(self.n, self.mean.copy(), self.scatter.copy())
 
 
-def stats_add(stats: GroupStats, x: np.ndarray) -> GroupStats:
-    """Add one observation by the rank-one running-moment recurrence."""
-    x = np.asarray(x, dtype=float)
-    n = stats.n + 1
-    if stats.n == 0:
-        return GroupStats(1, x.copy(), np.zeros_like(stats.scatter))
-    delta = x - stats.mean
-    mean = stats.mean + delta / n
-    scatter = stats.scatter + np.outer(delta, delta) * (stats.n / n)
-    return GroupStats(n, mean, scatter)
-
-
-def stats_remove(stats: GroupStats, x: np.ndarray) -> GroupStats:
-    """Inverse of stats_add; x must currently be a member (caller contract)."""
-    if stats.n <= 0:
-        raise ValueError("cannot remove an observation from an empty group")
-    x = np.asarray(x, dtype=float)
-    n = stats.n - 1
-    b = stats.mean.size
-    if n == 0:
-        return GroupStats.empty(b)
-    mean = (stats.n * stats.mean - x) / n
-    if n == 1:
-        return GroupStats(1, mean, np.zeros((b, b)))
-    delta = x - mean
-    scatter = stats.scatter - np.outer(delta, delta) * (n / stats.n)
-    return GroupStats(n, mean, scatter)
-
-
-def stats_merge(a: GroupStats, b: GroupStats) -> GroupStats:
-    """Pooled statistics of two disjoint groups."""
-    if a.n == 0:
-        return b.copy()
-    if b.n == 0:
-        return a.copy()
-    n = a.n + b.n
-    d = b.mean - a.mean
-    mean = a.mean + d * (b.n / n)
-    scatter = a.scatter + b.scatter + np.outer(d, d) * (a.n * b.n / n)
-    return GroupStats(n, mean, scatter)
-
-
 def stats_downdate(total: GroupStats, part: GroupStats) -> GroupStats:
     """Statistics of total minus part, where part is a subset of total."""
     if part.n > total.n:
@@ -335,14 +293,6 @@ class ClusterState:
     @property
     def allocation(self) -> Allocation:
         return Allocation(self.labels.copy())
-
-    @property
-    def stats(self) -> list:
-        """Materialised GroupStats view, one per group in label order."""
-        return [
-            GroupStats(int(self.counts[g]), self.means[g].copy(), self.scatters[g].copy())
-            for g in range(self.k)
-        ]
 
     def members(self, g: int) -> np.ndarray:
         """Observation indices currently allocated to group label g."""

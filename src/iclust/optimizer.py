@@ -1,12 +1,15 @@
 """Greedy maximisation of the exact ICL over allocation vectors.
 
-Two search variants share one sweep skeleton. The plain variant visits the
-observations in random order and reassigns each one to the group (or a fresh
-group) with the best post-move ICL. The combined variant instead proposes a
-whole nearest-neighbour block from the visited observation's group, with the
-block size drawn from a Beta-Binomial, which lets the search escape local
-optima that single-observation moves cannot leave. Blocks are read off one
-neighbour order per dataset (io.neighbor_order), shared by every restart.
+Both search variants run one sweep loop that visits the observations in
+random order and moves each visit's block to the group (or a fresh group)
+with the best post-move ICL, when that gains more than epsilon. The plain
+variant moves single observations and stops once a sweep gains no more
+than epsilon. The
+combined variant instead proposes a whole nearest-neighbour block from the
+visited observation's group, with the block size drawn from a Beta-Binomial,
+which lets the search escape local optima that single-observation moves
+cannot leave. Blocks are read off one neighbour order per dataset
+(io.neighbor_order), shared by every restart.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored with icl_exact, and the best
@@ -34,8 +37,7 @@ class SearchConfig:
 
     epsilon is the smallest ICL improvement treated as real; exact float
     comparison of the objective is unstable, so sub-epsilon gains never
-    trigger a block-move acceptance and never keep the plain variant's
-    sweep loop alive.
+    trigger a move and never keep the plain variant's sweep loop alive.
     """
 
     max_sweeps: int = 15
@@ -111,63 +113,56 @@ def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
     return same[: max(r, 1)]
 
 
-def _split_rng(rng):
-    # separate streams so the visit order draws do not depend on whether
-    # block sizes are being sampled; the plain variant ignores the second
-    order_rng, block_rng = rng.spawn(2)
-    return order_rng, block_rng
+def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
+            order: Optional[np.ndarray], rng) -> Solution:
+    """The one sweep loop: unit blocks and an early stop when order is None.
 
-
-def _allow_new(state, config: SearchConfig) -> bool:
-    return config.k_max is None or state.k < config.k_max
-
-
-def _finish(state, trace, restart_id: int) -> Solution:
-    # report the exact objective of the final labels, not the sum of deltas
-    alloc = relabel_compact(state.labels)
-    return Solution(allocation=alloc, K=alloc.K, trace=tuple(trace), restart_id=restart_id,
-                    icl=icl_mod.icl_exact(state.data, alloc, state.params).total)
-
-
-def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, rng) -> Solution:
-    """Single-observation greedy sweeps until a sweep improves by <= epsilon."""
+    Each sweep visits every observation once in random order and applies the
+    best move of its block when that move changes the group and gains more
+    than epsilon. Blocks come from neighbor_block when an order is given.
+    """
     state = icl_mod.make_state(data, init, params)
-    order_rng, _ = _split_rng(rng)
+    # separate streams so the visit order draws do not depend on whether
+    # block sizes are being sampled; unit blocks leave the second unused
+    order_rng, block_rng = rng.spawn(2)
     trace = [(0, state.icl)]
     for sweep in range(1, config.max_sweeps + 1):
         start = state.icl
         for i in order_rng.permutation(data.n):
-            prop = icl_mod.best_move(state, np.array([i]), allow_new=_allow_new(state, config))
-            if prop.target != prop.source:
+            if order is None:
+                block = np.array([i])
+            else:
+                block = neighbor_block(i, state.labels, order,
+                                       config.beta1, config.beta2, block_rng)
+            allow_new = config.k_max is None or state.k < config.k_max
+            prop = icl_mod.best_move(state, block, allow_new=allow_new)
+            if prop.target != prop.source and prop.delta > config.epsilon:
                 icl_mod.apply_move(state, prop)
         trace.append((sweep, state.icl))
-        if state.icl - start <= config.epsilon:
+        if order is None and state.icl - start <= config.epsilon:
             break
-    return _finish(state, trace, 0)
+    # report the exact objective of the final labels, not the sum of deltas
+    alloc = relabel_compact(state.labels)
+    icl = icl_mod.icl_exact(data, alloc, params).total
+    trace[-1] = (trace[-1][0], icl)
+    return Solution(allocation=alloc, K=alloc.K, icl=icl, trace=tuple(trace), restart_id=0)
+
+
+def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, rng) -> Solution:
+    """Single-observation greedy sweeps until a sweep improves by <= epsilon."""
+    return _sweeps(data, params, init, config, None, rng)
 
 
 def greedy_combined_icl(data: DataSet, params: HyperParams, init, config: SearchConfig,
                         order: np.ndarray, rng) -> Solution:
-    """Block greedy sweeps; a block move needs a strict improvement > epsilon.
+    """Block greedy sweeps over blocks read from order = neighbor_order(data).
 
-    Blocks come from order = neighbor_order(data). Runs max_sweeps full
-    sweeps. Because the block proposals are random, a sweep without an
-    accepted move is weak evidence of convergence, and later sweeps regularly
-    escape configurations that an earlier sweep could not improve, so there
-    is no early break.
+    Runs max_sweeps full sweeps. Because the block proposals are random, a
+    sweep without an accepted move is weak evidence of convergence, and later
+    sweeps regularly escape configurations that an earlier sweep could not
+    improve, so there is no early break.
     """
-    state = icl_mod.make_state(data, init, params)
-    order_rng, block_rng = _split_rng(rng)
-    trace = [(0, state.icl)]
-    for sweep in range(1, config.max_sweeps + 1):
-        for i in order_rng.permutation(data.n):
-            block = neighbor_block(i, state.labels, order,
-                                   config.beta1, config.beta2, block_rng)
-            prop = icl_mod.best_move(state, block, allow_new=_allow_new(state, config))
-            if prop.target != prop.source and prop.delta > config.epsilon:
-                icl_mod.apply_move(state, prop)
-        trace.append((sweep, state.icl))
-    return _finish(state, trace, 0)
+    return _sweeps(data, params, init, config, order, rng)
 
 
 def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,

@@ -146,8 +146,10 @@ def brute_force_max_icl(data: DataSet, params, k_max: int):
     Per-subset evidences are cached so the enumeration stays fast; the prior
     term is recomputed per partition.
     """
-    from iclust.icl import _group_evidence, allocation_log_prior
-    from iclust.model import GroupStats
+    from iclust.icl import allocation_log_prior, group_log_evidence, group_log_evidence_1d
+    from iclust.model import GroupStats, UvHyperParams
+
+    evidence = group_log_evidence_1d if isinstance(params, UvHyperParams) else group_log_evidence
 
     n = data.n
     cache = {}
@@ -155,7 +157,7 @@ def brute_force_max_icl(data: DataSet, params, k_max: int):
     def subset_ev(key):
         if key not in cache:
             rows = data.values[[i for i in range(n) if key >> i & 1]]
-            cache[key] = _group_evidence(GroupStats.from_points(rows), params)
+            cache[key] = evidence(GroupStats.from_points(rows), params)
         return cache[key]
 
     best = -math.inf

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iclust import (
     Allocation,
@@ -15,7 +17,6 @@ from iclust import (
     icl_delta,
     icl_exact,
     make_state,
-    propose_move,
     relabel_compact,
 )
 from iclust.icl import apply_move, best_move
@@ -298,8 +299,8 @@ class TestIclDelta:
             block = rng.choice(members, size=m, replace=False)
             prop = best_move(state, block)
             deltas = [icl_delta(state, block, t) for t in range(1, state.k + 2)]
-            assert prop.delta == pytest.approx(max(deltas), abs=1e-11)
-            assert prop.candidates_evaluated == state.k + 1
+            assert prop.delta == max(deltas)
+            assert prop.deltas.size == state.k
 
     def test_apply_move_tracks_delta_and_cache(self, mv_params):
         rng = np.random.default_rng(4)
@@ -334,7 +335,7 @@ class TestIclDelta:
         exact = icl_exact(data, state.allocation, mv_params).total
         assert state.icl == pytest.approx(exact, abs=1e-8)
 
-    def test_propose_move_univariate(self, galaxy_standardized):
+    def test_icl_delta_univariate(self, galaxy_standardized):
         params = UvHyperParams(alpha=0.5, tau=0.01, mu=0.0, gamma=1.0, delta=0.1)
         rng = np.random.default_rng(5)
         z = relabel_compact(rng.integers(1, 5, size=galaxy_standardized.n))
@@ -348,8 +349,73 @@ class TestIclDelta:
             target = int(rng.integers(1, state.k + 2))
             if target == g:
                 continue
-            d = propose_move(state, block, target).delta
+            d = icl_delta(state, block, target)
             labels = state.labels.copy()
             labels[block] = target
             after = icl_exact(galaxy_standardized, relabel_compact(labels), params).total
             assert d == pytest.approx(after - before, abs=1e-8)
+
+
+@st.composite
+def move_cases(draw):
+    # a small integer grid (or a line through it at b = 3) makes duplicate
+    # and collinear points common; n <= 9 makes singleton groups, K = 1 and
+    # whole-group blocks common
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 9))
+    if b == 3 and draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        x = [[t, -2 * t, 0.5 * t] for t in steps]
+    else:
+        cells = draw(st.lists(st.integers(-2, 2), min_size=n * b, max_size=n * b))
+        x = [cells[i * b:(i + 1) * b] for i in range(n)]
+    k = draw(st.integers(1, n))
+    labels = relabel_compact(draw(st.lists(st.integers(1, k), min_size=n, max_size=n))).labels
+    group = draw(st.integers(1, int(labels.max())))
+    members = np.flatnonzero(labels == group).tolist()
+    if draw(st.booleans()):
+        block = members
+    else:
+        block = draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
+    return dict(x=x, labels=labels.tolist(), block=block,
+                uv=b == 1 and draw(st.booleans()), allow_new=draw(st.booleans()))
+
+
+class TestMoveKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=move_cases())
+    # K = 1, the whole group moving: to itself and to a fresh label
+    @example(case=dict(x=[[0, 0], [1, 0], [1, 0]], labels=[1, 1, 1], block=[0, 1, 2],
+                       uv=False, allow_new=True))
+    # collinear duplicates at b = 3, a whole group to another group
+    @example(case=dict(x=[[t, -2 * t, 0.5 * t] for t in (-1, 0, 0, 1, 2, 2)],
+                       labels=[1, 1, 2, 2, 3, 3], block=[2, 3], uv=False, allow_new=False))
+    # a singleton group, univariate
+    @example(case=dict(x=[[0], [1], [1], [2]], labels=[1, 2, 2, 2], block=[0],
+                       uv=True, allow_new=True))
+    def test_deltas_exact_and_best_is_first_maximiser(self, case):
+        data = DataSet(np.array(case["x"], dtype=float))
+        if case["uv"]:
+            params = UvHyperParams(alpha=1.5, tau=0.1, mu=0.0, gamma=1.0, delta=0.5)
+        else:
+            params = MvHyperParams(alpha=1.5, tau=0.1, mu=np.zeros(data.b),
+                                   nu=data.b + 0.5, omega=1.0)
+        z = Allocation(np.array(case["labels"]))
+        state = make_state(data, z, params)
+        block = np.array(case["block"])
+        before = icl_exact(data, z, params).total
+        deltas = []
+        for target in range(1, state.k + 2):
+            labels = z.labels.copy()
+            labels[block] = target
+            after = icl_exact(data, relabel_compact(labels), params).total
+            deltas.append(icl_delta(state, block, target))
+            assert deltas[-1] == pytest.approx(after - before, abs=1e-8)
+
+        prop = best_move(state, block, allow_new=case["allow_new"])
+        offered = deltas if case["allow_new"] else deltas[:-1]
+        first = int(np.argmax(offered))  # first maximiser, the fresh group last
+        assert prop.delta == offered[first]
+        assert prop.target == first + 1
+        assert prop.is_new == (first == state.k)
+        assert prop.deltas.tolist() == deltas[:-1]

@@ -7,10 +7,7 @@ from iclust import (
     GroupStats,
     MvHyperParams,
     UvHyperParams,
-    stats_add,
     stats_downdate,
-    stats_merge,
-    stats_remove,
     validate_hyperparams,
 )
 from iclust.icl import icl_exact, make_state
@@ -100,39 +97,23 @@ class TestHyperParams:
 
 
 class TestGroupStats:
-    def test_add_to_empty(self):
-        x = np.array([1.5, -2.0])
-        st = stats_add(GroupStats.empty(2), x)
-        assert st.n == 1
-        assert np.array_equal(st.mean, x)
-        assert np.all(st.scatter == 0.0)
-
     def test_add_remove_inverse(self, rng):
-        st = GroupStats.from_points(rng.standard_normal((6, 2)))
-        x = rng.standard_normal(2)
-        back = stats_remove(stats_add(st, x), x)
+        # removing one observation, as a single-observation move does
+        pts = rng.standard_normal((6, 2))
+        x = rng.standard_normal((1, 2))
+        st = GroupStats.from_points(pts)
+        back = stats_downdate(GroupStats.from_points(np.vstack([pts, x])), GroupStats.from_points(x))
         assert back.n == st.n
         assert np.max(np.abs(back.mean - st.mean)) < 1e-10
         assert np.max(np.abs(back.scatter - st.scatter)) < 1e-10
 
-    def test_sequential_adds_match_two_pass(self, rng):
-        pts = rng.standard_normal((5, 3))
-        st = GroupStats.empty(3)
-        for x in pts:
-            st = stats_add(st, x)
-        ref = GroupStats.from_points(pts)
-        assert st.n == 5
-        assert np.max(np.abs(st.mean - ref.mean)) < 1e-10
-        assert np.max(np.abs(st.scatter - ref.scatter)) < 1e-10
-
     def test_remove_from_empty_errors(self):
-        with pytest.raises(ValueError, match="empty group"):
-            stats_remove(GroupStats.empty(2), np.zeros(2))
+        with pytest.raises(ValueError, match="cannot remove more"):
+            stats_downdate(GroupStats.empty(2), GroupStats.from_points(np.zeros((1, 2))))
 
     def test_scatter_zero_when_single(self, rng):
         pts = rng.standard_normal((2, 2))
-        st = GroupStats.from_points(pts)
-        st = stats_remove(st, pts[1])
+        st = stats_downdate(GroupStats.from_points(pts), GroupStats.from_points(pts[1:]))
         assert st.n == 1
         assert np.all(st.scatter == 0.0)
 
@@ -143,42 +124,32 @@ class TestGroupStats:
         assert np.all(np.linalg.eigvalsh(st.scatter) > -1e-12)
 
     def test_merge_downdate_roundtrip(self, rng):
-        a = GroupStats.from_points(rng.standard_normal((7, 2)))
-        b = GroupStats.from_points(rng.standard_normal((4, 2)))
-        total = stats_merge(a, b)
-        back = stats_downdate(total, b)
+        pa = rng.standard_normal((7, 2))
+        pb = rng.standard_normal((4, 2))
+        a = GroupStats.from_points(pa)
+        total = GroupStats.from_points(np.vstack([pa, pb]))
+        back = stats_downdate(total, GroupStats.from_points(pb))
         assert back.n == a.n
         assert np.max(np.abs(back.mean - a.mean)) < 1e-10
         assert np.max(np.abs(back.scatter - a.scatter)) < 1e-10
 
-    def test_merge_matches_pooled_two_pass(self, rng):
+    def test_merge_matches_pooled_two_pass(self, rng, mv_params):
+        # best_move merges the block into every group at once; the winning
+        # target's merged statistics must match a two-pass recomputation
+        from iclust.icl import best_move
+
         pa = rng.standard_normal((5, 2))
-        pb = rng.standard_normal((9, 2))
-        merged = stats_merge(GroupStats.from_points(pa), GroupStats.from_points(pb))
-        ref = GroupStats.from_points(np.vstack([pa, pb]))
-        assert np.max(np.abs(merged.mean - ref.mean)) < 1e-12
-        assert np.max(np.abs(merged.scatter - ref.scatter)) < 1e-10
-
-
-def test_drift_after_10000_ops(rng):
-    # standardized pool, long add/remove churn, maintained scatter must stay
-    # within 1e-6 per entry of a two-pass recomputation
-    pool = rng.standard_normal((200, 2))
-    pool = (pool - pool.mean(axis=0)) / pool.std(axis=0, ddof=1)
-    st = GroupStats.empty(2)
-    members = []
-    for _ in range(10_000):
-        if members and rng.random() < 0.45:
-            idx = members.pop(rng.integers(len(members)))
-            st = stats_remove(st, pool[idx])
-        else:
-            idx = int(rng.integers(200))
-            members.append(idx)
-            st = stats_add(st, pool[idx])
-    ref = GroupStats.from_points(pool[members])
-    assert st.n == len(members)
-    assert np.max(np.abs(st.scatter - ref.scatter)) < 1e-6
-    assert np.max(np.abs(st.mean - ref.mean)) < 1e-6
+        pb = rng.standard_normal((9, 2)) + np.array([30.0, 0.0])
+        data = DataSet(np.vstack([pa, pb]))
+        labels = np.array([1] * 5 + [2] * 9)
+        labels[5] = 1  # a member of the far cluster sits in group 1
+        state = make_state(data, labels, mv_params)
+        prop = best_move(state, np.array([5]), allow_new=False)
+        assert (prop.source, prop.target) == (1, 2)
+        ref = GroupStats.from_points(data.values[5:])
+        assert prop.tgt_stats.n == ref.n
+        assert np.max(np.abs(prop.tgt_stats.mean - ref.mean)) < 1e-12
+        assert np.max(np.abs(prop.tgt_stats.scatter - ref.scatter)) < 1e-10
 
 
 def test_cluster_state_consistency(small_data, mv_params, rng):
@@ -192,11 +163,11 @@ def test_cluster_state_consistency(small_data, mv_params, rng):
         if prop.target != prop.source:
             apply_move(state, prop)
     # stats consistent with membership recomputation
-    for g, st in enumerate(state.stats, start=1):
+    for g in range(1, state.k + 1):
         ref = GroupStats.from_points(small_data.values[state.labels == g])
-        assert st.n == ref.n
-        assert np.max(np.abs(st.mean - ref.mean)) < 1e-10
-        assert np.max(np.abs(st.scatter - ref.scatter)) < 1e-10
+        assert state.counts[g - 1] == ref.n
+        assert np.max(np.abs(state.means[g - 1] - ref.mean)) < 1e-10
+        assert np.max(np.abs(state.scatters[g - 1] - ref.scatter)) < 1e-10
     # cached objective agrees with a from-scratch evaluation
     exact = icl_exact(small_data, state.allocation, mv_params).total
     assert abs(state.icl - exact) < 1e-8

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,7 @@ class TestGreedyIcl:
         def counting_best_move(state, block, allow_new=True):
             prop = real_best_move(state, block, allow_new)
             expected = state.k + (1 if allow_new else 0)
-            counts.append((prop.candidates_evaluated, expected, state.k))
+            counts.append((prop.deltas.size + (prop.new_delta > -np.inf), expected, state.k))
             return prop
 
         monkeypatch.setattr(icl_mod, "best_move", counting_best_move)
@@ -188,11 +190,18 @@ class TestGreedyCombined:
                                nu=3.0, omega=1.0)
         init = relabel_compact(np.random.default_rng(4).integers(1, 4, size=10))
         config = SearchConfig(max_sweeps=6, restarts=1, beta1=1e-9, beta2=1e9, seed=0)
+        order = neighbor_order(data)
         sol_plain = greedy_icl(data, params, init, config, np.random.default_rng(42))
-        sol_comb = greedy_combined_icl(data, params, init, config, neighbor_order(data),
+        sol_comb = greedy_combined_icl(data, params, init, config, order,
                                        np.random.default_rng(42))
         assert sol_plain.allocation.labels.tolist() == sol_comb.allocation.labels.tolist()
-        assert sol_plain.icl == pytest.approx(sol_comb.icl, abs=1e-10)
+        assert sol_plain.icl == sol_comb.icl
+        # the plain variant stops early; cut there, the traces coincide
+        assert sol_plain.sweeps_used < config.max_sweeps
+        short = replace(config, max_sweeps=sol_plain.sweeps_used)
+        sol_short = greedy_combined_icl(data, params, init, short, order,
+                                        np.random.default_rng(42))
+        assert sol_plain.trace == sol_short.trace
 
     def test_never_exceeds_brute_force_max(self):
         rng = np.random.default_rng(100)
@@ -294,6 +303,19 @@ class TestMultiStart:
         sol = multi_start(data, params, config)
         assert sol.icl == icl_exact(data, sol.allocation, params).total
         assert max(sol.restart_bests) == sol.icl
+
+    @pytest.mark.parametrize("algorithm", ["plain", "combined"])
+    def test_trace_ends_with_reported_icl(self, algorithm):
+        # the last trace entry carries the exact rescoring, not the sum of
+        # deltas, which drifts in the last bits at a 1e8 offset
+        gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(2), nu=3.0, omega=0.5)
+        sample = sample_dataset(150, 4, gen, np.random.default_rng(2))
+        data = DataSet(sample.data.values + 1e8)
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
+                               nu=3.0, omega=1.0)
+        config = SearchConfig(max_sweeps=4, restarts=2, k_max=10, seed=6)
+        sol = multi_start(data, params, config, algorithm=algorithm)
+        assert sol.trace[-1][1] == sol.icl
 
     def test_all_restarts_failing_raises(self, monkeypatch):
         from iclust.model import NumericalError
