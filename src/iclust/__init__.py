@@ -24,7 +24,6 @@ from .icl import (
     apply_move,
     group_log_evidence,
     group_log_evidence_1d,
-    icl_delta,
     icl_exact,
     make_state,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "greedy_icl",
     "group_log_evidence",
     "group_log_evidence_1d",
-    "icl_delta",
     "icl_exact",
     "make_state",
     "multi_start",

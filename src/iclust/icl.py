@@ -34,7 +34,8 @@ on the precision, giving
 This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
 source group, the target group and the allocation prior, which is what makes
-greedy search over allocations cheap.
+greedy search over allocations cheap. A fresh group is the search state's
+spare empty row, scored through the same batch as every existing group.
 """
 
 from __future__ import annotations
@@ -195,15 +196,15 @@ def group_log_evidence_1d(stats: GroupStats, params: UvHyperParams) -> float:
     return float(_batch_evidence_uv(np.array([stats.n]), np.array([mean]), np.array([m2]), params)[0])
 
 
-def allocation_log_prior(group_counts: Sequence[int], alpha: float, n: int) -> float:
+def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
     """Log Dirichlet-multinomial mass of one labelled allocation.
 
-    group_counts must be the sizes of the K nonempty groups and sum to n.
+    counts must be the sizes of the K nonempty groups and sum to n.
     A zero count means compactness was violated upstream and is an error.
     """
-    counts = np.asarray(group_counts)
+    counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("group_counts must be a non-empty vector")
+        raise ValueError("counts must be a non-empty vector")
     if not np.issubdtype(counts.dtype, np.integer):
         as_int = counts.astype(np.int64)
         if not np.array_equal(as_int, counts):
@@ -246,18 +247,20 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
 # ---------------------------------------------------------------------------
 
 def _build_arrays(data: DataSet, labels: np.ndarray, params: HyperParams):
+    # rows 1..K are the groups and row K + 1 is the spare empty row, whose
+    # zero count gives an evidence of exactly zero, so fsum is unchanged
     k = int(labels.max())
     b = data.b
-    counts = np.empty(k, dtype=np.int64)
-    means = np.empty((k, b))
-    scatters = np.empty((k, b, b))
+    counts = np.zeros(k + 1, dtype=np.int64)
+    means = np.zeros((k + 1, b))
+    scatters = np.zeros((k + 1, b, b))
     for g in range(1, k + 1):
         st = GroupStats.from_points(data.values[labels == g])
         counts[g - 1] = st.n
         means[g - 1] = st.mean
         scatters[g - 1] = st.scatter
     evidence = _batch_evidence(counts, means, scatters, params)
-    prior = allocation_log_prior(counts, params.alpha, data.n)
+    prior = allocation_log_prior(counts[:k], params.alpha, data.n)
     icl = math.fsum(evidence.tolist()) + prior
     return counts, means, scatters, evidence, prior, icl
 
@@ -269,65 +272,44 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     validate_hyperparams(params, data.b)
     labels = alloc.labels.copy()
-    counts, means, scatters, evidence, prior, icl = _build_arrays(data, labels, params)
-    return ClusterState(data, params, labels, counts, means, scatters, evidence, prior, icl)
+    counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params)
+    return ClusterState(data, params, labels, counts, means, scatters, evidence, icl)
 
 
 def refresh_state(state: ClusterState) -> None:
     """Recompute every cached statistic of the state from its labels."""
-    counts, means, scatters, evidence, prior, icl = _build_arrays(
+    counts, means, scatters, evidence, _, icl = _build_arrays(
         state.data, state.labels, state.params
     )
     state.counts = counts
     state.means = means
     state.scatters = scatters
     state.group_evidence = evidence
-    state.prior_term = prior
     state.icl = icl
-
-
-def _prior_delta_new(k: int, alpha: float, n: int, n_src: int, m: int) -> float:
-    """Allocation prior change when m observations open a fresh group."""
-    if m == n_src:
-        return 0.0  # pure relabelling, the count multiset and K are unchanged
-    return (
-        math.lgamma((k + 1) * alpha)
-        - math.lgamma(k * alpha)
-        - math.lgamma((k + 1) * alpha + n)
-        + math.lgamma(k * alpha + n)
-        + math.lgamma(alpha + m)
-        - math.lgamma(alpha)
-        + math.lgamma(alpha + n_src - m)
-        - math.lgamma(alpha + n_src)
-    )
 
 
 @dataclass
 class MoveProposal:
     """Best reallocation of a same-group block, with the delta of every target.
 
-    deltas[t - 1] is the exact ICL change of moving the block to existing
-    group t (exactly zero for the source) and new_delta that of opening a
-    fresh group (-inf when none is offered). target is the first maximiser,
-    the fresh group last; target == source means staying put, which
-    apply_move ignores. The remaining fields carry everything apply_move
-    needs so an accepted move never recomputes: the post-move statistics and
-    evidence of the source and target groups and the post-move allocation
-    prior.
+    deltas[t - 1] is the exact ICL change of moving the block to group t, for
+    t in 1..K + 1. Target K + 1 is the spare empty row, that is a fresh group;
+    its delta is -inf when no fresh group is offered. Staying put scores
+    exactly zero. target is the first maximiser, so the fresh group wins only
+    a strict improvement; target == source means staying put, which
+    apply_move ignores. The post-move statistics and evidence of the source
+    and target rows ride along so an accepted move never recomputes.
     """
 
     block: np.ndarray
     source: int
     target: int
-    is_new: bool
     delta: float
     deltas: np.ndarray
-    new_delta: float
     src_stats: GroupStats
     src_ev: float
     tgt_stats: GroupStats
     tgt_ev: float
-    prior_after: float
 
 
 def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
@@ -338,31 +320,14 @@ def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
     return source
 
 
-def icl_delta(state: ClusterState, block, target: int) -> float:
-    """Exact ICL change of moving a block to a target group; state untouched.
-
-    target may be any existing group label or K + 1 for a fresh group. The
-    value is the matching entry of best_move's per-target deltas.
-    """
-    block = np.asarray(block, dtype=np.int64).ravel()
-    if block.size == 0:
-        return 0.0
-    k = state.k
-    target = int(target)
-    if not 1 <= target <= k + 1:
-        raise ValueError(f"target must be in 1..{k + 1}, got {target}")
-    prop = best_move(state, block)
-    return prop.new_delta if target == k + 1 else float(prop.deltas[target - 1])
-
-
 def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposal:
     """Evaluate every candidate target for a non-empty block; return the best.
 
     Candidates are all current groups (staying put scores exactly zero) plus
-    one fresh group when allow_new is set. Ties go to the smallest group
-    label, with the fresh group last. All existing targets are evaluated in
-    one vectorised batch, and the delta of every candidate is kept on the
-    proposal.
+    the spare empty row, a fresh group, when allow_new is set. Ties go to the
+    smallest group label, so the fresh group comes last. Every target is
+    evaluated in one vectorised batch, and the delta of every candidate is
+    kept on the proposal.
     """
     block = np.asarray(block, dtype=np.int64).ravel()
     params = state.params
@@ -381,9 +346,10 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
     src_ev_before = float(state.group_evidence[s])
     src_empties = src_after.n == 0
 
-    # one stacked evidence evaluation: the block merged into every existing
-    # group, then the source after removal, then the block on its own; the
-    # source-target row is garbage and gets overwritten with the exact zero
+    # one stacked evidence evaluation: the block merged into every row, the
+    # spare empty row included (which reproduces the block's own statistics),
+    # then the source after removal; the source-target row is garbage and
+    # gets overwritten with the exact zero
     nt = state.counts.astype(float)
     n_after = nt + m
     dv = block_stats.mean[None, :] - state.means
@@ -393,102 +359,81 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
         + block_stats.scatter[None, :, :]
         + dv[:, :, None] * dv[:, None, :] * (nt * m / n_after)[:, None, None]
     )
-    ns_stack = np.concatenate([n_after.astype(np.int64), [src_after.n, m]])
-    means_stack = np.concatenate([means_after, src_after.mean[None, :], block_stats.mean[None, :]])
-    scat_stack = np.concatenate(
-        [scat_after, src_after.scatter[None, :, :], block_stats.scatter[None, :, :]]
-    )
+    ns_stack = np.append(n_after.astype(np.int64), src_after.n)
+    means_stack = np.concatenate([means_after, src_after.mean[None, :]])
+    scat_stack = np.concatenate([scat_after, src_after.scatter[None, :, :]])
     ev_stack = _batch_evidence(ns_stack, means_stack, scat_stack, params)
-    ev_after = ev_stack[:k]
-    src_ev_after = float(ev_stack[k])
+    ev_after = ev_stack[:k + 1]
+    src_ev_after = float(ev_stack[k + 1])
 
-    if src_empties and k == 1:
-        # the only existing target is the source itself, staying put
-        dprior = np.zeros(1)
-        deltas = np.zeros(1)
-    else:
-        dprior = gammaln(alpha + nt + m) - gammaln(alpha + nt) - math.lgamma(alpha + n_src)
-        if src_empties:
-            dprior += (
-                math.lgamma(alpha)
-                + math.lgamma((k - 1) * alpha)
-                - math.lgamma(k * alpha)
-                - math.lgamma((k - 1) * alpha + n)
-                + math.lgamma(k * alpha + n)
-            )
-        else:
-            dprior += math.lgamma(alpha + n_src - m)
-        deltas = (src_ev_after - src_ev_before) + (ev_after - state.group_evidence) + dprior
-        deltas[s] = 0.0
+    dprior = gammaln(alpha + nt + m) - gammaln(alpha + nt) - math.lgamma(alpha + n_src)
+    if not src_empties:
+        dprior += math.lgamma(alpha + n_src - m)
+        # filling the spare row takes K to K + 1
+        dprior[k] += (
+            math.lgamma((k + 1) * alpha)
+            - math.lgamma(k * alpha)
+            - math.lgamma((k + 1) * alpha + n)
+            + math.lgamma(k * alpha + n)
+        )
+    elif k > 1:
+        # with K = 1 the only targets are the source and the spare row,
+        # both exactly zero below
+        dprior += (
+            math.lgamma(alpha)
+            + math.lgamma((k - 1) * alpha)
+            - math.lgamma(k * alpha)
+            - math.lgamma((k - 1) * alpha + n)
+            + math.lgamma(k * alpha + n)
+        )
+    deltas = (src_ev_after - src_ev_before) + (ev_after - state.group_evidence) + dprior
+    deltas[s] = 0.0
+    if src_empties:
+        # a whole group moving to the spare row only relabels: exactly zero,
+        # so it never beats staying put
+        deltas[k] = 0.0
+    if not allow_new:
+        deltas[k] = -math.inf
 
     t = int(np.argmax(deltas))           # first maximiser, smallest label
-    new_delta = -math.inf
-    if allow_new:
-        new_ev = float(ev_stack[k + 1])
-        dprior_new = _prior_delta_new(k, alpha, n, n_src, m)
-        # a whole group moving to a fresh label only relabels: exactly zero,
-        # so it never beats staying put
-        new_delta = 0.0 if src_empties else (src_ev_after - src_ev_before) + new_ev + dprior_new
-    if new_delta > deltas[t]:
-        return MoveProposal(
-            block=block, source=source, target=k + 1, is_new=True,
-            delta=new_delta, deltas=deltas, new_delta=new_delta,
-            src_stats=src_after, src_ev=src_ev_after,
-            tgt_stats=block_stats, tgt_ev=new_ev,
-            prior_after=state.prior_term + dprior_new,
-        )
     return MoveProposal(
-        block=block, source=source, target=t + 1, is_new=False,
-        delta=float(deltas[t]), deltas=deltas, new_delta=new_delta,
+        block=block, source=source, target=t + 1, delta=float(deltas[t]), deltas=deltas,
         src_stats=src_after, src_ev=src_ev_after,
         tgt_stats=GroupStats(int(n_after[t]), means_after[t], scat_after[t]),
         tgt_ev=float(ev_after[t]),
-        prior_after=state.prior_term + float(dprior[t]),
     )
 
 
-def _compact_after_deletion(state: ClusterState) -> None:
-    """Drop the emptied group row and relabel by order of first appearance."""
-    labels = state.labels
-    uniq, first = np.unique(labels, return_index=True)
-    order = np.argsort(first, kind="stable")
-    surviving = uniq[order]
-    lookup = np.zeros(int(uniq.max()) + 1, dtype=np.int64)
-    lookup[surviving] = np.arange(1, surviving.size + 1)
-    state.labels = lookup[labels]
-    rows = surviving - 1
-    state.counts = state.counts[rows]
-    state.means = state.means[rows]
-    state.scatters = state.scatters[rows]
-    state.group_evidence = state.group_evidence[rows]
-
-
 def apply_move(state: ClusterState, prop: MoveProposal) -> None:
-    """Apply an accepted proposal to the state, updating all cached terms."""
+    """Apply an accepted proposal to the state, updating all cached terms.
+
+    A filled spare row gets a new empty row after it; an emptied source row
+    is dropped and every higher label shifts down by one.
+    """
     if prop.target == prop.source:
         return
-    s = prop.source - 1
-    if prop.is_new:
-        state.labels[prop.block] = state.k + 1
-        state.counts = np.append(state.counts, prop.tgt_stats.n)
-        state.means = np.vstack([state.means, prop.tgt_stats.mean[None, :]])
-        state.scatters = np.concatenate([state.scatters, prop.tgt_stats.scatter[None, :, :]])
-        state.group_evidence = np.append(state.group_evidence, prop.tgt_ev)
-    else:
-        t = prop.target - 1
-        state.labels[prop.block] = prop.target
-        state.counts[t] = prop.tgt_stats.n
-        state.means[t] = prop.tgt_stats.mean
-        state.scatters[t] = prop.tgt_stats.scatter
-        state.group_evidence[t] = prop.tgt_ev
+    s, t = prop.source - 1, prop.target - 1
+    state.labels[prop.block] = prop.target
+    state.counts[t] = prop.tgt_stats.n
+    state.means[t] = prop.tgt_stats.mean
+    state.scatters[t] = prop.tgt_stats.scatter
+    state.group_evidence[t] = prop.tgt_ev
+    state.counts[s] = prop.src_stats.n
+    state.means[s] = prop.src_stats.mean
+    state.scatters[s] = prop.src_stats.scatter
+    state.group_evidence[s] = prop.src_ev
+    if t == state.k:
+        b = state.data.b
+        state.counts = np.append(state.counts, 0)
+        state.means = np.concatenate([state.means, np.zeros((1, b))])
+        state.scatters = np.concatenate([state.scatters, np.zeros((1, b, b))])
+        state.group_evidence = np.append(state.group_evidence, 0.0)
     if prop.src_stats.n == 0:
-        _compact_after_deletion(state)
-    else:
-        state.counts[s] = prop.src_stats.n
-        state.means[s] = prop.src_stats.mean
-        state.scatters[s] = prop.src_stats.scatter
-        state.group_evidence[s] = prop.src_ev
-    state.prior_term = prop.prior_after
+        state.counts = np.delete(state.counts, s)
+        state.means = np.delete(state.means, s, axis=0)
+        state.scatters = np.delete(state.scatters, s, axis=0)
+        state.group_evidence = np.delete(state.group_evidence, s)
+        state.labels[state.labels > prop.source] -= 1
     state.icl += prop.delta
     state.accepted_moves += 1
     if state.accepted_moves % ClusterState.refresh_interval == 0:

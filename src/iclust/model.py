@@ -86,10 +86,6 @@ class Allocation:
     def __len__(self) -> int:
         return int(self.labels.size)
 
-    def group_counts(self) -> np.ndarray:
-        """Sizes of groups 1..K, in label order."""
-        return np.bincount(self.labels, minlength=self.K + 1)[1:]
-
 
 @dataclass(frozen=True)
 class MvHyperParams:
@@ -236,16 +232,11 @@ class GroupStats:
         centred = rows - mean
         return cls(m, mean, centred.T @ centred)
 
-    def copy(self) -> "GroupStats":
-        return GroupStats(self.n, self.mean.copy(), self.scatter.copy())
-
 
 def stats_downdate(total: GroupStats, part: GroupStats) -> GroupStats:
-    """Statistics of total minus part, where part is a subset of total."""
+    """Statistics of total minus part, a non-empty subset of total."""
     if part.n > total.n:
         raise ValueError("cannot remove more observations than the group holds")
-    if part.n == 0:
-        return total.copy()
     n = total.n - part.n
     bdim = total.mean.size
     if n == 0:
@@ -262,10 +253,12 @@ class ClusterState:
     """Single-owner mutable search state.
 
     Keeps the compact label vector together with stacked per-group sufficient
-    statistics and cached objective terms, so a reallocation only has to touch
-    the source group, the target group and the allocation prior. Construction
-    and all score-bearing mutations live in the icl module; this class is the
-    container plus structural accessors.
+    statistics and cached evidences, so a reallocation only has to touch the
+    source group, the target group and the allocation prior. The K + 1 rows
+    are groups 1..K and then one spare empty row (count, mean, scatter and
+    evidence all zero) that stands for a fresh group. Construction and all
+    score-bearing mutations live in the icl module; this class is the
+    container.
 
     A full rebuild of the cached statistics is triggered every
     ``refresh_interval`` accepted moves to bound floating point drift.
@@ -274,26 +267,17 @@ class ClusterState:
     refresh_interval = 1000
 
     def __init__(self, data, params, labels, counts, means, scatters,
-                 group_evidence, prior_term, icl):
+                 group_evidence, icl):
         self.data = data
         self.params = params
         self.labels = labels            # (n,) int64, values 1..K
-        self.counts = counts            # (K,) int64
-        self.means = means              # (K, b)
-        self.scatters = scatters        # (K, b, b)
-        self.group_evidence = group_evidence  # (K,) cached per-group log evidence
-        self.prior_term = float(prior_term)
+        self.counts = counts            # (K + 1,) int64
+        self.means = means              # (K + 1, b)
+        self.scatters = scatters        # (K + 1, b, b)
+        self.group_evidence = group_evidence  # (K + 1,) cached per-group log evidence
         self.icl = float(icl)
         self.accepted_moves = 0
 
     @property
     def k(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def allocation(self) -> Allocation:
-        return Allocation(self.labels.copy())
-
-    def members(self, g: int) -> np.ndarray:
-        """Observation indices currently allocated to group label g."""
-        return np.flatnonzero(self.labels == g)
+        return int(self.counts.size) - 1

@@ -2,14 +2,13 @@
 
 Both search variants run one sweep loop that visits the observations in
 random order and moves each visit's block to the group (or a fresh group)
-with the best post-move ICL, when that gains more than epsilon. The plain
+with the best post-move ICL, when that gains more than EPSILON. The plain
 variant moves single observations and stops once a sweep gains no more
-than epsilon. The
-combined variant instead proposes a whole nearest-neighbour block from the
-visited observation's group, with the block size drawn from a Beta-Binomial,
-which lets the search escape local optima that single-observation moves
-cannot leave. Blocks are read off one neighbour order per dataset
-(io.neighbor_order), shared by every restart.
+than EPSILON. The combined variant instead proposes a whole
+nearest-neighbour block from the visited observation's group, with the
+block size drawn from a Beta-Binomial, which lets the search escape local
+optima that single-observation moves cannot leave. Blocks are read off one
+neighbour order per dataset (io.neighbor_order), shared by every restart.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored with icl_exact, and the best
@@ -30,22 +29,21 @@ from .io import distance_matrix, neighbor_order  # perfbench/worker.py wraps dis
 
 logger = logging.getLogger(__name__)
 
+# The smallest ICL improvement treated as real; exact float comparison of the
+# objective is unstable, so sub-EPSILON gains never trigger a move and never
+# keep the plain variant's sweep loop alive.
+EPSILON = 1e-10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the greedy search.
-
-    epsilon is the smallest ICL improvement treated as real; exact float
-    comparison of the objective is unstable, so sub-epsilon gains never
-    trigger a move and never keep the plain variant's sweep loop alive.
-    """
+    """Knobs of the greedy search."""
 
     max_sweeps: int = 15
     restarts: int = 10
     beta1: float = 0.1
     beta2: float = 0.01
-    k_max: Optional[int] = 20
-    epsilon: float = 1e-10
+    k_max: int = 20
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -55,10 +53,8 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if not self.beta1 > 0 or not self.beta2 > 0:
             raise ValueError("beta1 and beta2 must be positive")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError("k_max must be at least 1 when set")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be finite and non-negative")
+        if self.k_max < 1:
+            raise ValueError("k_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
 
     Each sweep visits every observation once in random order and applies the
     best move of its block when that move changes the group and gains more
-    than epsilon. Blocks come from neighbor_block when an order is given.
+    than EPSILON. Blocks come from neighbor_block when an order is given.
     """
     state = icl_mod.make_state(data, init, params)
     # separate streams so the visit order draws do not depend on whether
@@ -134,12 +130,11 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
             else:
                 block = neighbor_block(i, state.labels, order,
                                        config.beta1, config.beta2, block_rng)
-            allow_new = config.k_max is None or state.k < config.k_max
-            prop = icl_mod.best_move(state, block, allow_new=allow_new)
-            if prop.target != prop.source and prop.delta > config.epsilon:
+            prop = icl_mod.best_move(state, block, allow_new=state.k < config.k_max)
+            if prop.target != prop.source and prop.delta > EPSILON:
                 icl_mod.apply_move(state, prop)
         trace.append((sweep, state.icl))
-        if order is None and state.icl - start <= config.epsilon:
+        if order is None and state.icl - start <= EPSILON:
             break
     # report the exact objective of the final labels, not the sum of deltas
     alloc = relabel_compact(state.labels)
@@ -149,7 +144,7 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
 
 
 def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, rng) -> Solution:
-    """Single-observation greedy sweeps until a sweep improves by <= epsilon."""
+    """Single-observation greedy sweeps until a sweep improves by <= EPSILON."""
     return _sweeps(data, params, init, config, None, rng)
 
 
@@ -170,7 +165,7 @@ def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
     """Best of config.restarts independent searches from random allocations.
 
     Initial allocations draw labels uniformly from 1..k_init with
-    k_init = k_max (20 when unset) and are compacted. Each restart owns an
+    k_init = min(k_max, n) and are compacted. Each restart owns an
     RNG stream derived from the master seed, so a fixed seed reproduces the
     solution bit for bit. Restarts that die with a numerical error are logged
     and skipped; all of them failing is an error.
@@ -180,7 +175,7 @@ def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
     validate_hyperparams(params, data.b)
     if algorithm == "combined" and order is None:
         order = neighbor_order(data)
-    k_init = min(config.k_max or 20, data.n)
+    k_init = min(config.k_max, data.n)
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: Optional[Solution] = None
     bests = []

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles (Student-t
 predictive densities, posterior parameter updates, numerical integration,
 exhaustive partition enumeration) and never calls back into the code paths
-it is checking.
+it is checking. The one exception is icl_delta, a per-target reading of the
+move kernel for the tests that check its deltas against icl_exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ from scipy.integrate import dblquad
 from scipy.special import gammaln
 
 from iclust import DataSet, MvHyperParams, UvHyperParams, icl_exact
+from iclust.icl import best_move
+
+
+def icl_delta(state, block, target: int) -> float:
+    """Exact ICL change of moving a block to group target; state untouched.
+
+    target is any label in 1..K + 1, K + 1 being a fresh group. An empty block
+    gives 0.0; a block spanning several groups raises ValueError.
+    """
+    block = np.asarray(block, dtype=np.int64).ravel()
+    if block.size == 0:
+        return 0.0
+    if not 1 <= target <= state.k + 1:
+        raise ValueError(f"target must be in 1..{state.k + 1}, got {target}")
+    return float(best_move(state, block).deltas[target - 1])
 
 
 def mvt_logpdf(x, loc, scale, df):

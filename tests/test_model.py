@@ -40,7 +40,7 @@ class TestAllocation:
     def test_compact_ok(self):
         alloc = Allocation(np.array([1, 2, 1, 3]))
         assert alloc.K == 3
-        assert alloc.group_counts().tolist() == [2, 1, 1]
+        assert np.bincount(alloc.labels)[1:].tolist() == [2, 1, 1]
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="missing group"):
@@ -153,21 +153,36 @@ class TestGroupStats:
 
 
 def test_cluster_state_consistency(small_data, mv_params, rng):
+    from iclust import neighbor_block, neighbor_order
     from iclust.icl import apply_move, best_move
 
+    # two clusters four apart, so nearest-neighbour blocks both open a fresh
+    # group and empty groups of the three-group start
+    data = DataSet(small_data.values + np.repeat([[0.0, 0.0], [4.0, 0.0]], 6, axis=0))
+    order = neighbor_order(data)
     z = Allocation(np.array([1] * 4 + [2] * 4 + [3] * 4))
-    state = make_state(small_data, z, mv_params)
+    state = make_state(data, z, mv_params)
+    fresh = deleted = 0
     for _ in range(80):
-        i = int(rng.integers(small_data.n))
-        prop = best_move(state, np.array([i]))
+        i = int(rng.integers(data.n))
+        prop = best_move(state, neighbor_block(i, state.labels, order, 0.5, 0.5, rng))
         if prop.target != prop.source:
+            k = state.k
             apply_move(state, prop)
+            fresh += prop.target == k + 1
+            deleted += prop.src_stats.n == 0
+            # the last row is the spare empty row and the labels stay 1..K
+            assert state.counts[-1] == 0 and state.group_evidence[-1] == 0.0
+            assert np.all(state.means[-1] == 0.0) and np.all(state.scatters[-1] == 0.0)
+            assert np.array_equal(np.unique(state.labels), np.arange(1, state.k + 1))
+    # both structural paths ran: a fresh group opened and a group emptied
+    assert fresh > 0 and deleted > 0
     # stats consistent with membership recomputation
     for g in range(1, state.k + 1):
-        ref = GroupStats.from_points(small_data.values[state.labels == g])
+        ref = GroupStats.from_points(data.values[state.labels == g])
         assert state.counts[g - 1] == ref.n
         assert np.max(np.abs(state.means[g - 1] - ref.mean)) < 1e-10
         assert np.max(np.abs(state.scatters[g - 1] - ref.scatter)) < 1e-10
     # cached objective agrees with a from-scratch evaluation
-    exact = icl_exact(small_data, state.allocation, mv_params).total
+    exact = icl_exact(data, state.labels, mv_params).total
     assert abs(state.icl - exact) < 1e-8
