@@ -23,7 +23,6 @@ from .icl import (
     allocation_log_prior,
     apply_move,
     group_log_evidence,
-    group_log_evidence_1d,
     icl_exact,
     make_state,
 )
@@ -36,7 +35,7 @@ from .optimizer import (
     neighbor_block,
     relabel_compact,
 )
-from .generator import GeneratedSample, sample_dataset, sample_dataset_1d
+from .generator import GeneratedSample, sample_dataset
 from .io import (
     distance_matrix,
     neighbor_order,
@@ -68,7 +67,6 @@ __all__ = [
     "greedy_combined_icl",
     "greedy_icl",
     "group_log_evidence",
-    "group_log_evidence_1d",
     "icl_exact",
     "make_state",
     "multi_start",
@@ -78,7 +76,6 @@ __all__ = [
     "read_result",
     "relabel_compact",
     "sample_dataset",
-    "sample_dataset_1d",
     "standardize",
     "stats_downdate",
     "validate_hyperparams",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generator import sample_dataset, sample_dataset_1d
+from .generator import sample_dataset
 from .icl import icl_exact
 from .io import (
     distance_matrix,  # unused here; perfbench/worker.py wraps this attribute
@@ -130,7 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_mu(text, b: int, default: np.ndarray) -> np.ndarray:
     if text is None:
         return default
-    parts = _float_list(text)
+    try:
+        parts = _float_list(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--mu: {exc}") from None
     if len(parts) == 1:
         return np.full(b, parts[0])
     if len(parts) != b:
@@ -201,16 +204,14 @@ def cmd_generate(args) -> int:
     if args.n < 1 or args.k < 1 or args.b < 1:
         raise ValueError("--n, --k and --b must all be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    mu = _parse_mu(args.mu, args.b, np.zeros(args.b))
     if args.b == 1:
-        mu = 0.0 if args.mu is None else _float_list(args.mu)[0]
-        params = UvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu,
+        params = UvHyperParams(alpha=args.alpha, tau=args.tau, mu=float(mu[0]),
                                gamma=args.gamma, delta=args.delta)
-        sample = sample_dataset_1d(args.n, args.k, params, rng)
     else:
         nu = args.b + 1 if args.nu is None else args.nu
-        mu = _parse_mu(args.mu, args.b, np.zeros(args.b))
         params = MvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu, nu=nu, omega=args.omega)
-        sample = sample_dataset(args.n, args.k, params, rng)
+    sample = sample_dataset(args.n, args.k, params, rng)
     write_csv(sample.data, args.out_data)
     labels = sample.allocation.labels.reshape(-1, 1).astype(float)
     write_csv(labels, args.out_labels)
@@ -244,6 +245,8 @@ def cmd_sweep(args) -> int:
     varied, rows = _grid_rows(args, data.b)
     if not rows:
         raise ValueError("no grid flags given; nothing to sweep")
+    # a bad --mu fails the whole sweep, not each grid point
+    _parse_mu(args.mu, data.b, None)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
     results = []

@@ -2,10 +2,11 @@
 
 The draw order follows the model hierarchy: mixture weights from a symmetric
 Dirichlet, allocations from the weights, one precision matrix per component
-from a Wishart (or Gamma in one dimension), component centres conditionally
-on their own precision, then the observations. Components that end up with
-zero observations are dropped and the labels compacted, so the returned
-allocation is always compact with K no larger than requested.
+from a Wishart (the univariate Gamma prior as its 1x1 Wishart), component
+centres conditionally on their own precision, then the observations.
+Components that end up with zero observations are dropped and the labels
+compacted, so the returned allocation is always compact with K no larger than
+requested.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, DataSet, MvHyperParams, UvHyperParams, validate_hyperparams
+from .model import Allocation, DataSet, HyperParams, validate_hyperparams
 from .optimizer import relabel_compact
 
 
@@ -71,13 +72,17 @@ def _compact_sample(data_values, z_raw, lam, centres, precisions, requested_k):
     )
 
 
-def sample_dataset(n: int, K: int, params: MvHyperParams, rng) -> GeneratedSample:
-    """Draw n observations from a K-component multivariate mixture."""
+def sample_dataset(n: int, K: int, params: HyperParams, rng) -> GeneratedSample:
+    """Draw n observations from a K-component mixture.
+
+    A univariate prior is drawn as its 1x1 Wishart, in the same order: one
+    gamma, one centre normal and the member normals per component.
+    """
     if n < 1 or K < 1:
         raise ValueError("n and K must be at least 1")
-    if not isinstance(params, MvHyperParams):
-        raise TypeError("sample_dataset expects multivariate hyperparameters")
-    validate_hyperparams(params, params.b)
+    # a univariate prior has no b attribute and is 1-d; any other object
+    # without one is rejected by validate_hyperparams with a TypeError
+    params = validate_hyperparams(params, getattr(params, "b", 1))
     b = params.b
     lam = rng.dirichlet(np.full(K, params.alpha))
     z_raw = rng.choice(K, size=n, p=lam) + 1
@@ -99,26 +104,4 @@ def sample_dataset(n: int, K: int, params: MvHyperParams, rng) -> GeneratedSampl
         if members.size:
             noise = rng.standard_normal((members.size, b))
             values[members] = centres[g] + np.linalg.solve(w.T, noise.T).T
-    return _compact_sample(values, z_raw, lam, centres, precisions, K)
-
-
-def sample_dataset_1d(n: int, K: int, params: UvHyperParams, rng) -> GeneratedSample:
-    """Univariate variant with Gamma(gamma, delta) precisions."""
-    if n < 1 or K < 1:
-        raise ValueError("n and K must be at least 1")
-    if not isinstance(params, UvHyperParams):
-        raise TypeError("sample_dataset_1d expects univariate hyperparameters")
-    lam = rng.dirichlet(np.full(K, params.alpha))
-    z_raw = rng.choice(K, size=n, p=lam) + 1
-
-    centres = np.empty((K, 1))
-    precisions = np.empty((K, 1, 1))
-    values = np.empty((n, 1))
-    for g in range(K):
-        r = rng.gamma(shape=params.gamma, scale=1.0 / params.delta)
-        precisions[g, 0, 0] = r
-        centres[g, 0] = rng.normal(params.mu, 1.0 / np.sqrt(params.tau * r))
-        members = np.flatnonzero(z_raw == g + 1)
-        if members.size:
-            values[members, 0] = rng.normal(centres[g, 0], 1.0 / np.sqrt(r), size=members.size)
     return _compact_sample(values, z_raw, lam, centres, precisions, K)

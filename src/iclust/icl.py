@@ -22,14 +22,11 @@ prior is the Dirichlet-multinomial mass
 
     lgamma(K a) - lgamma(K a + n) - K lgamma(a) + sum_g lgamma(a + n_g).
 
-The univariate variant replaces the Wishart with a Gamma(gamma, delta) prior
-on the precision, giving
-
-    - (n_g / 2) log(2 pi)
-    + (1 / 2) [log(tau) - log(tau + n_g)]
-    + lgamma(gamma + n_g / 2) - lgamma(gamma)
-    + gamma log(delta)
-    - (gamma + n_g / 2) log(delta + S_g / 2 + (tau n_g / (tau + n_g)) d^2 / 2).
+The univariate Gamma(gamma, rate delta) precision prior is the 1x1 Wishart
+with nu = 2 gamma and xi = 2 delta, so one kernel, _batch_evidence, scores
+both: validate_hyperparams hands it that Wishart form, and at b = 1 the
+kernel takes a scalar shape branch where the log determinant is the log of
+the posterior scale itself.
 
 This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
@@ -55,13 +52,11 @@ from .model import (
     HyperParams,
     MvHyperParams,
     NumericalError,
-    UvHyperParams,
     stats_downdate,
     validate_hyperparams,
 )
 
 _LOG_PI = math.log(math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -74,20 +69,12 @@ class IclValue:
 
 
 def _batch_logdet_spd(post: np.ndarray, b: int) -> np.ndarray:
-    """Log determinants of stacked symmetric positive definite matrices.
+    """Log determinants of stacked symmetric positive definite matrices, b >= 2.
 
-    Dimensions one and two use the leading-minor test and closed-form
-    determinant; larger dimensions go through a stacked Cholesky. Any
+    Dimension two uses the leading-minor test and closed-form determinant;
+    larger dimensions go through a stacked Cholesky. Any
     non-positive-definite input raises NumericalError.
     """
-    if b == 1:
-        d = post[:, 0, 0]
-        if np.any(d <= 0.0):
-            raise NumericalError(
-                "posterior scale matrix is not positive definite; "
-                "the input data is numerically pathological"
-            )
-        return np.log(d)
     if b == 2:
         a = post[:, 0, 0]
         c = post[:, 1, 1]
@@ -109,24 +96,35 @@ def _batch_logdet_spd(post: np.ndarray, b: int) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
-def _batch_evidence_mv(ns, means, scatters, params: MvHyperParams) -> np.ndarray:
+def _batch_evidence(ns, means, scatters, params: MvHyperParams) -> np.ndarray:
     """Group log evidence for stacked groups; ns (K,), means (K,b), scatters (K,b,b).
 
-    Rows with a zero count come out exactly zero.
+    Rows with a zero count come out exactly zero. At b = 1 the posterior
+    scale is a scalar per row and skips the matrix shapes.
     """
     b = params.b
     tau = params.tau
     nu = params.nu
     ns = np.asarray(ns, dtype=float)
-    d = means - params.mu
     coef = tau * ns / (tau + ns)
-    post = scatters + params.scale_matrix() + d[:, :, None] * d[:, None, :] * coef[:, None, None]
-    logdet = _batch_logdet_spd(post, b)
-    s = np.arange(1, b + 1, dtype=float)
-    lg = gammaln((nu + ns[:, None] + 1.0 - s) / 2.0).sum(axis=1) - gammaln((nu + 1.0 - s) / 2.0).sum()
+    if b == 1:
+        d = means[:, 0] - params.mu[0]
+        post = scatters[:, 0, 0] + params.scale_matrix()[0, 0] + d * d * coef
+        if np.any(post <= 0.0):
+            raise NumericalError(
+                "posterior scale matrix is not positive definite; "
+                "the input data is numerically pathological"
+            )
+        logdet = np.log(post)
+        lg = gammaln((nu + ns) / 2.0) - params._lgamma_nu
+    else:
+        d = means - params.mu
+        post = scatters + params.scale_matrix() + d[:, :, None] * d[:, None, :] * coef[:, None, None]
+        logdet = _batch_logdet_spd(post, b)
+        lg = gammaln((nu + ns[:, None] + 1.0 - params._s) / 2.0).sum(axis=1) - params._lgamma_nu
     out = (
         -0.5 * b * ns * _LOG_PI
-        + 0.5 * b * (np.log(tau) - np.log(tau + ns))
+        + 0.5 * b * (params._log_tau - np.log(tau + ns))
         + lg
         + 0.5 * nu * params.log_det_scale
         - 0.5 * (nu + ns) * logdet
@@ -136,64 +134,21 @@ def _batch_evidence_mv(ns, means, scatters, params: MvHyperParams) -> np.ndarray
     return out
 
 
-def _batch_evidence_uv(ns, means, m2s, params: UvHyperParams) -> np.ndarray:
-    """Univariate analogue of _batch_evidence_mv; all arguments are (K,) arrays."""
-    tau = params.tau
-    gam = params.gamma
-    ns = np.asarray(ns, dtype=float)
-    d = means - params.mu
-    post = params.delta + 0.5 * m2s + 0.5 * (tau * ns / (tau + ns)) * d * d
-    if np.any(post <= 0.0):
-        raise NumericalError(
-            "posterior rate of the precision turned non-positive; "
-            "the input data is numerically pathological"
-        )
-    out = (
-        -0.5 * ns * _LOG_2PI
-        + 0.5 * (np.log(tau) - np.log(tau + ns))
-        + gammaln(gam + 0.5 * ns)
-        - gammaln(gam)
-        + gam * math.log(params.delta)
-        - (gam + 0.5 * ns) * np.log(post)
-    )
-    if np.any(ns == 0.0):
-        out = np.where(ns == 0.0, 0.0, out)
-    return out
+def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
+    """Log marginal likelihood contribution of one group.
 
-
-def _batch_evidence(ns, means, scatters, params: HyperParams) -> np.ndarray:
-    if isinstance(params, UvHyperParams):
-        return _batch_evidence_uv(ns, means[:, 0], scatters[:, 0, 0], params)
-    return _batch_evidence_mv(ns, means, scatters, params)
-
-
-def group_log_evidence(stats: GroupStats, params: MvHyperParams) -> float:
-    """Log marginal likelihood contribution of one group, multivariate model.
-
-    Zero for an empty group. Log determinants go through a Cholesky
-    factorization of the posterior scale matrix; a factorization failure
+    Zero for an empty group. A univariate prior is scored as its 1x1
+    Normal-Wishart. A posterior scale matrix that is not positive definite
     raises NumericalError rather than returning NaN.
     """
-    if not isinstance(params, MvHyperParams):
-        raise TypeError("group_log_evidence expects multivariate hyperparameters")
+    params = validate_hyperparams(params, stats.mean.size)
     if stats.n == 0:
         return 0.0
     return float(
-        _batch_evidence_mv(
+        _batch_evidence(
             np.array([stats.n]), stats.mean[None, :], stats.scatter[None, :, :], params
         )[0]
     )
-
-
-def group_log_evidence_1d(stats: GroupStats, params: UvHyperParams) -> float:
-    """Log marginal likelihood contribution of one group, univariate model."""
-    if not isinstance(params, UvHyperParams):
-        raise TypeError("group_log_evidence_1d expects univariate hyperparameters")
-    if stats.n == 0:
-        return 0.0
-    mean = float(np.atleast_1d(stats.mean)[0])
-    m2 = float(np.atleast_2d(stats.scatter)[0, 0])
-    return float(_batch_evidence_uv(np.array([stats.n]), np.array([mean]), np.array([m2]), params)[0])
 
 
 def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
@@ -237,7 +192,7 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
     alloc = z if isinstance(z, Allocation) else Allocation(np.asarray(z))
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
-    validate_hyperparams(params, data.b)
+    params = validate_hyperparams(params, data.b)
     _, _, _, evidence, prior_term, total = _build_arrays(data, alloc.labels, params)
     return IclValue(total=total, data_term=math.fsum(evidence.tolist()), prior_term=prior_term)
 
@@ -246,7 +201,7 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
 # Search state construction and exact move deltas
 # ---------------------------------------------------------------------------
 
-def _build_arrays(data: DataSet, labels: np.ndarray, params: HyperParams):
+def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams):
     # rows 1..K are the groups and row K + 1 is the spare empty row, whose
     # zero count gives an evidence of exactly zero, so fsum is unchanged
     k = int(labels.max())
@@ -270,7 +225,7 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
     alloc = z if isinstance(z, Allocation) else Allocation(np.asarray(z))
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
-    validate_hyperparams(params, data.b)
+    params = validate_hyperparams(params, data.b)
     labels = alloc.labels.copy()
     counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params)
     return ClusterState(data, params, labels, counts, means, scatters, evidence, icl)

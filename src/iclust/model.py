@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import gammaln
 
 
 class NumericalError(RuntimeError):
@@ -142,6 +143,11 @@ class MvHyperParams:
             logdet = b * float(np.log(self.omega))
             object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_logdet_scale", logdet)
+        # evidence constants that depend on the prior alone
+        s = np.arange(1, b + 1, dtype=float)
+        object.__setattr__(self, "_s", s)
+        object.__setattr__(self, "_lgamma_nu", gammaln((self.nu + 1.0 - s) / 2.0).sum())
+        object.__setattr__(self, "_log_tau", np.log(self.tau))
 
     @property
     def b(self) -> int:
@@ -161,7 +167,9 @@ class UvHyperParams:
     """Symmetric prior constants for the univariate model.
 
     The group precision prior is Gamma(gamma, delta) with rate delta, in
-    place of the multivariate Wishart.
+    place of the multivariate Wishart. That is the 1x1 Wishart with nu =
+    2 gamma and inverse scale xi = 2 delta, which is how validate_hyperparams
+    hands it to the evidence and the sampler.
     """
 
     alpha: float
@@ -182,23 +190,24 @@ class UvHyperParams:
 HyperParams = Union[MvHyperParams, UvHyperParams]
 
 
-def validate_hyperparams(params: HyperParams, b: int) -> HyperParams:
-    """Check every prior constraint against the data dimension b.
+def validate_hyperparams(params: HyperParams, b: int) -> MvHyperParams:
+    """Check the prior against the data dimension b; return its Wishart form.
 
-    Returns the parameters unchanged when all constraints hold. Positivity
-    constraints are already enforced at construction; this recheck adds the
-    dimension dependent ones.
+    Positivity constraints are already enforced at construction; this adds
+    the dimension dependent ones. Multivariate parameters come back
+    unchanged. Univariate ones come back as the 1x1 Normal-Wishart with
+    nu = 2 gamma and omega = 2 delta, which has the same group evidence and
+    the same sampling law; doubling is exact in binary.
     """
     if isinstance(params, MvHyperParams):
         if params.b != b:
             raise ValueError(f"mu has length {params.b} but the data has b = {b}")
-        if not params.nu > b - 1:
-            raise ValueError(f"nu must exceed b - 1 = {b - 1}, got {params.nu!r}")
         return params
     if isinstance(params, UvHyperParams):
         if b != 1:
             raise ValueError(f"univariate hyperparameters require 1-d data, got b = {b}")
-        return params
+        return MvHyperParams(alpha=params.alpha, tau=params.tau, mu=[params.mu],
+                             nu=2.0 * params.gamma, omega=2.0 * params.delta)
     raise TypeError(f"unsupported hyperparameter type {type(params).__name__}")
 
 

@@ -172,7 +172,7 @@ def multi_start(data: DataSet, params: HyperParams, config: SearchConfig,
     """
     if algorithm not in ("combined", "plain"):
         raise ValueError(f"algorithm must be 'combined' or 'plain', got {algorithm!r}")
-    validate_hyperparams(params, data.b)
+    params = validate_hyperparams(params, data.b)
     if algorithm == "combined" and order is None:
         order = neighbor_order(data)
     k_init = min(config.k_max, data.n)

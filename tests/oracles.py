@@ -106,6 +106,26 @@ def uv_predictive_logpdf(params: UvHyperParams, seen, x):
     return mvt_logpdf([x], [mu_n], [[scale2]], df)
 
 
+def uv_log_evidence(params: UvHyperParams, n: int, xbar: float, m2: float) -> float:
+    """Normal-Gamma group log evidence in gamma and delta, as published.
+
+    n members with mean xbar and centred sum of squares m2, under a
+    Gamma(gamma, rate delta) precision; the reference for the 1x1 Wishart
+    form that the package evaluates.
+    """
+    tau, gam = params.tau, params.gamma
+    d = xbar - params.mu
+    post = params.delta + 0.5 * m2 + 0.5 * (tau * n / (tau + n)) * d * d
+    return (
+        -0.5 * n * math.log(2.0 * math.pi)
+        + 0.5 * (math.log(tau) - math.log(tau + n))
+        + gammaln(gam + 0.5 * n)
+        - gammaln(gam)
+        + gam * math.log(params.delta)
+        - (gam + 0.5 * n) * math.log(post)
+    )
+
+
 def uv_evidence_quadrature(params: UvHyperParams, xs):
     """Log evidence of a univariate group by 2-d adaptive quadrature.
 
@@ -162,10 +182,8 @@ def brute_force_max_icl(data: DataSet, params, k_max: int):
     Per-subset evidences are cached so the enumeration stays fast; the prior
     term is recomputed per partition.
     """
-    from iclust.icl import allocation_log_prior, group_log_evidence, group_log_evidence_1d
-    from iclust.model import GroupStats, UvHyperParams
-
-    evidence = group_log_evidence_1d if isinstance(params, UvHyperParams) else group_log_evidence
+    from iclust.icl import allocation_log_prior, group_log_evidence
+    from iclust.model import GroupStats
 
     n = data.n
     cache = {}
@@ -173,7 +191,7 @@ def brute_force_max_icl(data: DataSet, params, k_max: int):
     def subset_ev(key):
         if key not in cache:
             rows = data.values[[i for i in range(n) if key >> i & 1]]
-            cache[key] = evidence(GroupStats.from_points(rows), params)
+            cache[key] = group_log_evidence(GroupStats.from_points(rows), params)
         return cache[key]
 
     best = -math.inf

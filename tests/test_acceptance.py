@@ -19,7 +19,6 @@ from iclust import (
     SearchConfig,
     UvHyperParams,
     group_log_evidence,
-    group_log_evidence_1d,
     icl_exact,
     make_state,
     multi_start,
@@ -213,7 +212,7 @@ def test_criterion_3_evidence_oracles():
             delta=float(rng.uniform(0.5, 2.0)),
         )
         xs = rng.normal(size=int(rng.integers(1, 5)))
-        ev = group_log_evidence_1d(GroupStats.from_points(xs[:, None]), params)
+        ev = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
         worst_b = max(worst_b, abs(ev - uv_evidence_quadrature(params, xs)))
     # (c) multivariate evidence versus the sequential-predictive chain rule
     worst_c = 0.0

@@ -238,3 +238,30 @@ def test_galaxy_cli_run(capsys, tmp_path, galaxy_path):
     doc = json.loads(out.read_text())
     assert doc["K"] == 3
     assert doc["hyperparams"]["family"] == "univariate"
+
+
+@pytest.mark.parametrize("command,mu", [
+    ("cluster", "abc"),
+    ("sweep", "abc"),
+    ("eval", "abc"),
+    ("generate-b2", "abc"),
+    ("generate-b1", "abc"),
+    ("generate-b1", "1,2"),
+    ("generate-b1", ""),
+])
+def test_bad_mu_is_a_validation_error(capsys, tmp_path, cluster_csv, command, mu):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n" * 24)
+    out = ["--out-data", str(tmp_path / "d.csv"), "--out-labels", str(tmp_path / "l.csv")]
+    argv = {
+        "cluster": ["cluster", "--data", str(cluster_csv)],
+        "sweep": ["sweep", "--data", str(cluster_csv), "--tau-grid", "0.1,0.01"],
+        "eval": ["eval", "--data", str(cluster_csv), "--labels", str(labels)],
+        "generate-b2": ["generate", "--n", "10", "--k", "2", "--b", "2"] + out,
+        "generate-b1": ["generate", "--n", "10", "--k", "2", "--b", "1"] + out,
+    }[command]
+    code, _, err = run(capsys, argv + ["--mu", mu])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()

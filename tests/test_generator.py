@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from iclust import MvHyperParams, UvHyperParams, sample_dataset, sample_dataset_1d
+from iclust import MvHyperParams, UvHyperParams, sample_dataset
 from iclust.icl import allocation_log_prior
 
 from oracles import dm_count_log_pmf
@@ -66,25 +66,53 @@ class TestSampleDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_dataset(0, 3, mv_params(), np.random.default_rng(0))
-        with pytest.raises(TypeError):
-            sample_dataset(10, 3, UvHyperParams(alpha=1, tau=1, mu=0, gamma=1, delta=1),
-                           np.random.default_rng(0))
+        # a univariate prior samples through its 1x1 Wishart form
+        sample = sample_dataset(10, 3, UvHyperParams(alpha=1, tau=1, mu=0, gamma=1, delta=1),
+                                np.random.default_rng(0))
+        assert sample.data.b == 1
+        # an object of neither prior type, with or without a b attribute
+        for bad in (object(), sample.data):
+            with pytest.raises(TypeError):
+                sample_dataset(10, 3, bad, np.random.default_rng(0))
 
 
 class TestSampleDataset1d:
+    PARAMS = UvHyperParams(alpha=4.0, tau=0.1, mu=0.0, gamma=0.5, delta=0.5)
+
     def test_shapes(self):
-        params = UvHyperParams(alpha=4.0, tau=0.1, mu=0.0, gamma=0.5, delta=0.5)
-        sample = sample_dataset_1d(30, 3, params, np.random.default_rng(0))
+        sample = sample_dataset(30, 3, self.PARAMS, np.random.default_rng(0))
         assert sample.data.b == 1
         assert sample.allocation.K <= 3
         assert sample.precisions.shape[1:] == (1, 1)
         assert np.all(sample.precisions > 0)
 
     def test_reproducible(self):
-        params = UvHyperParams(alpha=4.0, tau=0.1, mu=0.0, gamma=0.5, delta=0.5)
-        a = sample_dataset_1d(20, 3, params, np.random.default_rng(5))
-        b = sample_dataset_1d(20, 3, params, np.random.default_rng(5))
+        a = sample_dataset(20, 3, self.PARAMS, np.random.default_rng(5))
+        b = sample_dataset(20, 3, self.PARAMS, np.random.default_rng(5))
         assert np.array_equal(a.data.values, b.data.values)
+
+    def test_matches_gamma_precision_sampler(self):
+        # frozen output of the former Gamma(gamma, rate delta) sampler with the
+        # same draw order; the 1x1 Bartlett factor reproduces its labels and
+        # weights exactly and its reals to the last bits
+        sample = sample_dataset(20, 3, self.PARAMS, np.random.default_rng(5))
+        assert sample.allocation.labels.tolist() == [
+            2, 1, 1, 3, 3, 2, 2, 3, 3, 3, 2, 3, 3, 1, 3, 2, 3, 1, 3, 3]
+        assert sample.weights.tolist() == [
+            0.19712939194206058, 0.2710594694881846, 0.5318111385697549]
+        values = [
+            -3.796014765943606, -10.185958178843638, -13.658255499804032, -0.1784745700945375,
+            0.6613007945414958, -4.223322543210322, -1.6647947025257597, 0.6691265242013836,
+            -0.8346756883137773, 0.4640957527018857, -3.8251967178093755, 0.44754295505287045,
+            1.3487538142338722, -9.582973659521238, -0.23747790492679843, -0.13370416095214566,
+            1.183015994400216, -9.765183104627491, -0.1764440070417529, 0.3916694755438952]
+        np.testing.assert_allclose(sample.data.values[:, 0], values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sample.centres[:, 0],
+                                   [-9.64733408909488, -2.0287963256031922, 0.6368372072218121],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sample.precisions[:, 0, 0],
+                                   [0.10334742376266083, 0.3813562289115484, 1.8259646959510032],
+                                   rtol=1e-12, atol=0)
 
 
 def test_group_sizes_match_dirichlet_multinomial():

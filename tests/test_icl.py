@@ -13,7 +13,6 @@ from iclust import (
     UvHyperParams,
     allocation_log_prior,
     group_log_evidence,
-    group_log_evidence_1d,
     icl_exact,
     make_state,
     relabel_compact,
@@ -27,6 +26,7 @@ from oracles import (
     mv_predictive_logpdf,
     mvt_logpdf,
     uv_evidence_quadrature,
+    uv_log_evidence,
     uv_predictive_logpdf,
 )
 
@@ -35,7 +35,7 @@ class TestGroupEvidence:
     def test_empty_group_is_zero(self, mv_params):
         assert group_log_evidence(GroupStats.empty(2), mv_params) == 0.0
         up = UvHyperParams(alpha=1.0, tau=0.5, mu=0.0, gamma=0.5, delta=0.5)
-        assert group_log_evidence_1d(GroupStats.empty(1), up) == 0.0
+        assert group_log_evidence(GroupStats.empty(1), up) == 0.0
 
     def test_single_observation_at_mu(self, mv_params):
         # predictive is a bivariate t with 2 df, centre mu, identity scale
@@ -100,7 +100,7 @@ class TestUnivariateEvidence:
         params = UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=0.5, delta=0.5)
         st = GroupStats.from_points(np.zeros((1, 1)))
         expected = -math.log(math.pi * math.sqrt(2.0))
-        assert group_log_evidence_1d(st, params) == pytest.approx(expected, abs=1e-12)
+        assert group_log_evidence(st, params) == pytest.approx(expected, abs=1e-12)
 
     def test_quadrature_oracle(self):
         rng = np.random.default_rng(9)
@@ -114,16 +114,37 @@ class TestUnivariateEvidence:
             )
             m = int(rng.integers(1, 5))
             xs = rng.normal(size=m)
-            ev = group_log_evidence_1d(GroupStats.from_points(xs[:, None]), params)
+            ev = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
             assert ev == pytest.approx(uv_evidence_quadrature(params, xs), abs=1e-6)
 
     def test_uv_chain_rule(self):
         rng = np.random.default_rng(10)
         params = UvHyperParams(alpha=1.0, tau=0.3, mu=0.1, gamma=1.5, delta=0.8)
         xs = rng.normal(size=7)
-        whole = group_log_evidence_1d(GroupStats.from_points(xs[:, None]), params)
+        whole = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
         chain = math.fsum(uv_predictive_logpdf(params, xs[:j], xs[j]) for j in range(7))
         assert whole == pytest.approx(chain, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+        step=st.sampled_from([1e-3, 0.1, 1.0, 30.0]),
+        offset=st.floats(-50.0, 50.0),
+        mu=st.floats(-5.0, 5.0),
+        log_tau=st.floats(-3.0, 1.0),
+        log_gamma=st.floats(-2.0, 2.0),
+        log_delta=st.floats(-2.0, 2.0),
+    )
+    def test_matches_normal_gamma_closed_form(self, cells, step, offset, mu,
+                                              log_tau, log_gamma, log_delta):
+        # integer cells make duplicate points common; the offset moves the
+        # data away from mu
+        params = UvHyperParams(alpha=1.0, tau=10.0 ** log_tau, mu=mu,
+                               gamma=10.0 ** log_gamma, delta=10.0 ** log_delta)
+        stats = GroupStats.from_points(offset + step * np.array(cells, dtype=float)[:, None])
+        ev = group_log_evidence(stats, params)
+        ref = uv_log_evidence(params, stats.n, float(stats.mean[0]), float(stats.scatter[0, 0]))
+        assert abs(ev - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestFullScaleMatrix:
@@ -150,7 +171,7 @@ class TestFullScaleMatrix:
         up = UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=1.0, delta=0.5)
         bad1 = GroupStats(3, np.zeros(1), np.array([[-10.0]]))
         with pytest.raises(NumericalError):
-            group_log_evidence_1d(bad1, up)
+            group_log_evidence(bad1, up)
 
 
 class TestGalaxyAnchor:

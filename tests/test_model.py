@@ -74,8 +74,16 @@ class TestHyperParams:
             validate_hyperparams(p, 2)
 
     def test_univariate_needs_b1(self):
-        p = UvHyperParams(alpha=4.0, tau=0.01, mu=0.0, gamma=0.5, delta=0.5)
-        assert validate_hyperparams(p, 1) is p
+        # the Gamma(gamma, rate delta) precision is the 1x1 Wishart with
+        # nu = 2 gamma and inverse scale 2 delta
+        p = UvHyperParams(alpha=4.0, tau=0.01, mu=0.3, gamma=0.7, delta=0.2)
+        w = validate_hyperparams(p, 1)
+        assert isinstance(w, MvHyperParams)
+        assert (w.alpha, w.tau) == (p.alpha, p.tau)
+        assert w.nu == 2 * p.gamma
+        assert w.scale_matrix().tolist() == [[2 * p.delta]]
+        assert w.log_det_scale == np.log(2 * p.delta)
+        assert w.mu.tolist() == [p.mu]
         with pytest.raises(ValueError, match="1-d"):
             validate_hyperparams(p, 2)
 

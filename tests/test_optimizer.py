@@ -10,6 +10,7 @@ from iclust import (
     MvHyperParams,
     SearchConfig,
     Solution,
+    UvHyperParams,
     greedy_combined_icl,
     greedy_icl,
     icl_exact,
@@ -335,6 +336,43 @@ class TestMultiStart:
                                nu=3.0, omega=1.0)
         with pytest.raises(ValueError, match="algorithm"):
             multi_start(data, params, SearchConfig(seed=0), algorithm="annealing")
+
+
+class TestSeededOutputs:
+    """Frozen K, labels and ICL of small seeded searches.
+
+    A refactor that keeps the search's decisions keeps these labels exactly;
+    the ICL may move only in its last bits.
+    """
+
+    COMBINED = ("122322224223124214223334242222424222212333224424222333233432222422224122314231"
+                "323342132123332121443322332244234231222222224243422321334231223441212322")
+    PLAIN = ("1223242454431454167438354522245457744148334256252748834885374225422251423152813"
+             "28352137173334141553847382755235281724272245453524321335731473551412874")
+
+    @pytest.mark.parametrize("algorithm,K,icl,labels", [
+        ("combined", 4, -647.4374028425782, COMBINED),
+        ("plain", 8, -694.7591440309632, PLAIN),
+    ], ids=["combined", "plain"])
+    def test_multivariate(self, algorithm, K, icl, labels):
+        data = sample_dataset(150, 4, MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(2),
+                                                    nu=3.0, omega=0.5),
+                              np.random.default_rng(2)).data
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0), nu=3.0,
+                               omega=0.5)
+        config = SearchConfig(max_sweeps=3, restarts=3, beta1=0.2, beta2=0.04, seed=7)
+        sol = multi_start(data, params, config, algorithm=algorithm)
+        assert sol.K == K
+        assert "".join(map(str, sol.allocation.labels)) == labels
+        assert sol.icl == pytest.approx(icl, abs=1e-9)
+
+    def test_univariate_galaxy(self, galaxy_standardized):
+        params = UvHyperParams(alpha=0.5, tau=0.01, mu=0.0, gamma=1.0, delta=0.1)
+        sol = multi_start(galaxy_standardized, params,
+                          SearchConfig(max_sweeps=3, restarts=3, seed=7))
+        assert sol.K == 2
+        assert "".join(map(str, sol.allocation.labels)) == "11111" + "2" * 77
+        assert sol.icl == pytest.approx(-121.51922005985146, abs=1e-9)
 
 
 class TestSearchConfig:
