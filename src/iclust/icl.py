@@ -26,7 +26,9 @@ The univariate Gamma(gamma, rate delta) precision prior is the 1x1 Wishart
 with nu = 2 gamma and xi = 2 delta, so one kernel, _batch_evidence, scores
 both: validate_hyperparams hands it that Wishart form, and at b = 1 the
 kernel takes a scalar shape branch where the log determinant is the log of
-the posterior scale itself.
+the posterior scale itself. Every term that depends on a group's count
+alone is read from _count_terms, a table over counts built once per search
+state, so the kernel's own work is the posterior scale and its determinant.
 
 This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
@@ -80,7 +82,8 @@ def _batch_logdet_spd(post: np.ndarray, b: int) -> np.ndarray:
         c = post[:, 1, 1]
         off = post[:, 0, 1]
         det = a * c - off * off
-        if np.any(a <= 0.0) or np.any(det <= 0.0):
+        # fmin skips a NaN operand, so this is (a <= 0).any() or (det <= 0).any()
+        if (np.fmin(a, det) <= 0.0).any():
             raise NumericalError(
                 "posterior scale matrix is not positive definite; "
                 "the input data is numerically pathological"
@@ -96,42 +99,57 @@ def _batch_logdet_spd(post: np.ndarray, b: int) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
-def _batch_evidence(ns, means, scatters, params: MvHyperParams) -> np.ndarray:
-    """Group log evidence for stacked groups; ns (K,), means (K,b), scatters (K,b,b).
+def _count_terms(params: MvHyperParams, n_max: int):
+    """Tables (coef, base, slope) over counts c = 0..n_max of the evidence terms.
 
-    Rows with a zero count come out exactly zero. At b = 1 the posterior
-    scale is a scalar per row and skips the matrix shapes.
+    A group of c members whose posterior scale has log determinant L has log
+    evidence base[c] - slope[c] * L; coef[c] = tau c / (tau + c). Entry 0 of
+    base and slope is zero, so an empty row scores exactly zero.
     """
     b = params.b
     tau = params.tau
     nu = params.nu
-    ns = np.asarray(ns, dtype=float)
-    coef = tau * ns / (tau + ns)
+    ns = np.arange(n_max + 1, dtype=float)
+    s = np.arange(1, b + 1, dtype=float)
+    lgamma_nu = gammaln((nu + 1.0 - s) / 2.0).sum()
     if b == 1:
+        lg = gammaln((nu + ns) / 2.0) - lgamma_nu
+    else:
+        lg = gammaln((nu + ns[:, None] + 1.0 - s) / 2.0).sum(axis=1) - lgamma_nu
+    base = (
+        -0.5 * b * ns * _LOG_PI
+        + 0.5 * b * (np.log(tau) - np.log(tau + ns))
+        + lg
+        + 0.5 * nu * params.log_det_scale
+    )
+    slope = 0.5 * (nu + ns)
+    base[0] = slope[0] = 0.0
+    return tau * ns / (tau + ns), base, slope
+
+
+def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms) -> np.ndarray:
+    """Group log evidence for stacked groups; ns (K,) int, means (K,b), scatters (K,b,b).
+
+    terms = _count_terms(params, n_max) with n_max >= every count. Rows with
+    a zero count come out exactly zero. At b = 1 the posterior scale is a
+    scalar per row and skips the matrix shapes.
+    """
+    coef_t, base_t, slope_t = terms
+    coef = coef_t[ns]
+    if params.b == 1:
         d = means[:, 0] - params.mu[0]
         post = scatters[:, 0, 0] + params.scale_matrix()[0, 0] + d * d * coef
-        if np.any(post <= 0.0):
+        if (post <= 0.0).any():
             raise NumericalError(
                 "posterior scale matrix is not positive definite; "
                 "the input data is numerically pathological"
             )
         logdet = np.log(post)
-        lg = gammaln((nu + ns) / 2.0) - params._lgamma_nu
     else:
         d = means - params.mu
         post = scatters + params.scale_matrix() + d[:, :, None] * d[:, None, :] * coef[:, None, None]
-        logdet = _batch_logdet_spd(post, b)
-        lg = gammaln((nu + ns[:, None] + 1.0 - params._s) / 2.0).sum(axis=1) - params._lgamma_nu
-    out = (
-        -0.5 * b * ns * _LOG_PI
-        + 0.5 * b * (params._log_tau - np.log(tau + ns))
-        + lg
-        + 0.5 * nu * params.log_det_scale
-        - 0.5 * (nu + ns) * logdet
-    )
-    if np.any(ns == 0.0):
-        out = np.where(ns == 0.0, 0.0, out)
-    return out
+        logdet = _batch_logdet_spd(post, params.b)
+    return base_t[ns] - slope_t[ns] * logdet
 
 
 def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
@@ -146,7 +164,8 @@ def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
         return 0.0
     return float(
         _batch_evidence(
-            np.array([stats.n]), stats.mean[None, :], stats.scatter[None, :, :], params
+            np.array([stats.n]), stats.mean[None, :], stats.scatter[None, :, :], params,
+            _count_terms(params, stats.n),
         )[0]
     )
 
@@ -193,7 +212,9 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
-    _, _, _, evidence, prior_term, total = _build_arrays(data, alloc.labels, params)
+    _, _, _, evidence, prior_term, total = _build_arrays(
+        data, alloc.labels, params, _count_terms(params, data.n)
+    )
     return IclValue(total=total, data_term=math.fsum(evidence.tolist()), prior_term=prior_term)
 
 
@@ -201,7 +222,7 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
 # Search state construction and exact move deltas
 # ---------------------------------------------------------------------------
 
-def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams):
+def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams, terms):
     # rows 1..K are the groups and row K + 1 is the spare empty row, whose
     # zero count gives an evidence of exactly zero, so fsum is unchanged
     k = int(labels.max())
@@ -214,7 +235,7 @@ def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams):
         counts[g - 1] = st.n
         means[g - 1] = st.mean
         scatters[g - 1] = st.scatter
-    evidence = _batch_evidence(counts, means, scatters, params)
+    evidence = _batch_evidence(counts, means, scatters, params, terms)
     prior = allocation_log_prior(counts[:k], params.alpha, data.n)
     icl = math.fsum(evidence.tolist()) + prior
     return counts, means, scatters, evidence, prior, icl
@@ -227,14 +248,16 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
     labels = alloc.labels.copy()
-    counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params)
-    return ClusterState(data, params, labels, counts, means, scatters, evidence, icl)
+    # best_move's garbage source row has up to 2n members
+    terms = _count_terms(params, 2 * data.n)
+    counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params, terms)
+    return ClusterState(data, params, terms, labels, counts, means, scatters, evidence, icl)
 
 
 def refresh_state(state: ClusterState) -> None:
     """Recompute every cached statistic of the state from its labels."""
     counts, means, scatters, evidence, _, icl = _build_arrays(
-        state.data, state.labels, state.params
+        state.data, state.labels, state.params, state.count_terms
     )
     state.counts = counts
     state.means = means
@@ -270,7 +293,7 @@ class MoveProposal:
 def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
     src_labels = state.labels[block]
     source = int(src_labels[0])
-    if np.any(src_labels != source):
+    if (src_labels != source).any():
         raise ValueError("block members belong to different groups")
     return source
 
@@ -290,9 +313,11 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
     source = _source_group_of(state, block)
     k = state.k
     s = source - 1
-    n_src = int(state.counts[s])
+    counts = state.counts
+    n_src = int(counts[s])
     alpha = params.alpha
     n = data.n
+    b = data.b
 
     block_stats = GroupStats.from_points(data.values[block])
     m = block_stats.n
@@ -301,27 +326,30 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
     src_ev_before = float(state.group_evidence[s])
     src_empties = src_after.n == 0
 
-    # one stacked evidence evaluation: the block merged into every row, the
-    # spare empty row included (which reproduces the block's own statistics),
-    # then the source after removal; the source-target row is garbage and
-    # gets overwritten with the exact zero
-    nt = state.counts.astype(float)
-    n_after = nt + m
-    dv = block_stats.mean[None, :] - state.means
-    means_after = state.means + dv * (m / n_after)[:, None]
-    scat_after = (
-        state.scatters
-        + block_stats.scatter[None, :, :]
-        + dv[:, :, None] * dv[:, None, :] * (nt * m / n_after)[:, None, None]
+    # one stacked evidence evaluation: rows 0..K hold the block merged into
+    # every row, the spare empty row included (which reproduces the block's
+    # own statistics), and row K + 1 the source after removal; the
+    # source-target row is garbage and gets overwritten with the exact zero
+    ns_stack = np.empty(k + 2, dtype=np.int64)
+    means_stack = np.empty((k + 2, b))
+    scat_stack = np.empty((k + 2, b, b))
+    n_after = np.add(counts, m, out=ns_stack[:k + 1])
+    dv = block_stats.mean - state.means
+    means_after = np.add(state.means, dv * (m / n_after)[:, None], out=means_stack[:k + 1])
+    scat_after = np.add(
+        state.scatters + block_stats.scatter,
+        dv[:, :, None] * dv[:, None, :] * (counts * m / n_after)[:, None, None],
+        out=scat_stack[:k + 1],
     )
-    ns_stack = np.append(n_after.astype(np.int64), src_after.n)
-    means_stack = np.concatenate([means_after, src_after.mean[None, :]])
-    scat_stack = np.concatenate([scat_after, src_after.scatter[None, :, :]])
-    ev_stack = _batch_evidence(ns_stack, means_stack, scat_stack, params)
+    ns_stack[k + 1] = src_after.n
+    means_stack[k + 1] = src_after.mean
+    scat_stack[k + 1] = src_after.scatter
+    ev_stack = _batch_evidence(ns_stack, means_stack, scat_stack, params, state.count_terms)
     ev_after = ev_stack[:k + 1]
     src_ev_after = float(ev_stack[k + 1])
 
-    dprior = gammaln(alpha + nt + m) - gammaln(alpha + nt) - math.lgamma(alpha + n_src)
+    alpha_nt = alpha + counts
+    dprior = gammaln(alpha_nt + m) - gammaln(alpha_nt) - math.lgamma(alpha + n_src)
     if not src_empties:
         dprior += math.lgamma(alpha + n_src - m)
         # filling the spare row takes K to K + 1
@@ -350,7 +378,7 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposa
     if not allow_new:
         deltas[k] = -math.inf
 
-    t = int(np.argmax(deltas))           # first maximiser, smallest label
+    t = int(deltas.argmax())             # first maximiser, smallest label
     return MoveProposal(
         block=block, source=source, target=t + 1, delta=float(deltas[t]), deltas=deltas,
         src_stats=src_after, src_ev=src_ev_after,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class NumericalError(RuntimeError):
@@ -143,11 +142,6 @@ class MvHyperParams:
             logdet = b * float(np.log(self.omega))
             object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_logdet_scale", logdet)
-        # evidence constants that depend on the prior alone
-        s = np.arange(1, b + 1, dtype=float)
-        object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_lgamma_nu", gammaln((self.nu + 1.0 - s) / 2.0).sum())
-        object.__setattr__(self, "_log_tau", np.log(self.tau))
 
     @property
     def b(self) -> int:
@@ -235,7 +229,8 @@ class GroupStats:
         m, b = rows.shape
         if m == 0:
             return cls.empty(b)
-        mean = rows.mean(axis=0)
+        # ndarray.mean's own sum and division, without its Python dispatch
+        mean = np.add.reduce(rows, axis=0) / m
         if m == 1:
             return cls(1, mean, np.zeros((b, b)))
         centred = rows - mean
@@ -254,7 +249,7 @@ def stats_downdate(total: GroupStats, part: GroupStats) -> GroupStats:
     if n == 1:
         return GroupStats(1, mean, np.zeros((bdim, bdim)))
     d = part.mean - mean
-    scatter = total.scatter - part.scatter - np.outer(d, d) * (n * part.n / total.n)
+    scatter = total.scatter - part.scatter - d[:, None] * d[None, :] * (n * part.n / total.n)
     return GroupStats(n, mean, scatter)
 
 
@@ -275,10 +270,11 @@ class ClusterState:
 
     refresh_interval = 1000
 
-    def __init__(self, data, params, labels, counts, means, scatters,
+    def __init__(self, data, params, count_terms, labels, counts, means, scatters,
                  group_evidence, icl):
         self.data = data
         self.params = params
+        self.count_terms = count_terms  # icl._count_terms(params, 2 n), read-only
         self.labels = labels            # (n,) int64, values 1..K
         self.counts = counts            # (K + 1,) int64
         self.means = means              # (K + 1, b)
