@@ -61,15 +61,19 @@ def _add_run_flags(p):
     p.add_argument("--algorithm", choices=["combined", "plain"], default="combined")
 
 
+def _add_family_flags(p):
+    p.add_argument("--omega", type=float, default=None, help="multivariate; defaults to 1")
+    p.add_argument("--nu", type=float, default=None, help="multivariate; defaults to b + 1")
+    p.add_argument("--gamma", type=float, default=None, help="univariate shape; defaults to 0.5")
+    p.add_argument("--delta", type=float, default=None, help="univariate rate; defaults to 0.5")
+
+
 def _add_hyper_flags(p):
     p.add_argument("--alpha", type=float, default=4.0)
     p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=None, help="defaults to b + 1")
     p.add_argument("--mu", type=str, default=None,
                    help="scalar or comma separated vector; defaults to the data centre")
-    p.add_argument("--gamma", type=float, default=0.5, help="univariate shape")
-    p.add_argument("--delta", type=float, default=0.5, help="univariate rate")
+    _add_family_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,11 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--alpha", type=float, default=4.0)
     p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=None)
     p.add_argument("--mu", type=str, default=None, help="defaults to the origin")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.5)
+    _add_family_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-labels", required=True)
@@ -141,20 +142,34 @@ def _parse_mu(text, b: int, default: np.ndarray) -> np.ndarray:
     return np.asarray(parts)
 
 
+def _family_values(args, b: int, overrides=None) -> dict:
+    """The scalar prior flags of the family of b-column data, defaults filled in.
+
+    Univariate data takes --gamma and --delta (0.5 each by default),
+    multivariate data --nu (b + 1) and --omega (1). A flag of the other family
+    is an error, not silently ignored.
+    """
+    if b == 1:
+        defaults, other, kind = {"gamma": 0.5, "delta": 0.5}, ("nu", "omega"), "univariate"
+    else:
+        defaults, other, kind = {"nu": b + 1, "omega": 1.0}, ("gamma", "delta"), "multivariate"
+    for name in other:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to {kind} data")
+    o = overrides or {}
+    given = {name: o.get(name, getattr(args, name)) for name in defaults}
+    return {name: defaults[name] if v is None else v for name, v in given.items()}
+
+
 def _build_params(args, data, overrides=None):
     o = dict(overrides or {})
     alpha = o.get("alpha", args.alpha)
     tau = o.get("tau", args.tau)
-    if data.b == 1:
-        mu = _parse_mu(args.mu, 1, data.values.mean(axis=0))
-        return UvHyperParams(alpha=alpha, tau=tau, mu=float(mu[0]),
-                             gamma=args.gamma, delta=o.get("delta", args.delta))
-    nu = o.get("nu", args.nu)
-    if nu is None:
-        nu = data.b + 1
+    family = _family_values(args, data.b, o)
     mu = _parse_mu(args.mu, data.b, data.values.mean(axis=0))
-    return MvHyperParams(alpha=alpha, tau=tau, mu=mu, nu=nu,
-                         omega=o.get("omega", args.omega))
+    if data.b == 1:
+        return UvHyperParams(alpha=alpha, tau=tau, mu=float(mu[0]), **family)
+    return MvHyperParams(alpha=alpha, tau=tau, mu=mu, **family)
 
 
 def _search_config(args, seed=None, overrides=None):
@@ -205,12 +220,11 @@ def cmd_generate(args) -> int:
         raise ValueError("--n, --k and --b must all be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     mu = _parse_mu(args.mu, args.b, np.zeros(args.b))
+    family = _family_values(args, args.b)
     if args.b == 1:
-        params = UvHyperParams(alpha=args.alpha, tau=args.tau, mu=float(mu[0]),
-                               gamma=args.gamma, delta=args.delta)
+        params = UvHyperParams(alpha=args.alpha, tau=args.tau, mu=float(mu[0]), **family)
     else:
-        nu = args.b + 1 if args.nu is None else args.nu
-        params = MvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu, nu=nu, omega=args.omega)
+        params = MvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu, **family)
     sample = sample_dataset(args.n, args.k, params, rng)
     write_csv(sample.data, args.out_data)
     labels = sample.allocation.labels.reshape(-1, 1).astype(float)
@@ -245,8 +259,9 @@ def cmd_sweep(args) -> int:
     varied, rows = _grid_rows(args, data.b)
     if not rows:
         raise ValueError("no grid flags given; nothing to sweep")
-    # a bad --mu fails the whole sweep, not each grid point
+    # a bad --mu or a wrong-family flag fails the whole sweep, not each grid point
     _parse_mu(args.mu, data.b, None)
+    _family_values(args, data.b)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
     results = []

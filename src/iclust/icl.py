@@ -34,7 +34,11 @@ This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
 source group, the target group and the allocation prior, which is what makes
 greedy search over allocations cheap. A fresh group is the search state's
-spare empty row, scored through the same batch as every existing group.
+spare empty row, scored through the same batch as every existing group. The
+one move kernel, best_moves, scores a stack of blocks against one state in
+a single evaluation and flags, row by row, a posterior scale that is not
+positive definite instead of raising, so a caller can tell which block
+failed.
 """
 
 from __future__ import annotations
@@ -54,11 +58,13 @@ from .model import (
     HyperParams,
     MvHyperParams,
     NumericalError,
-    stats_downdate,
+    stats_downdate,  # unused here; perfbench/worker.py wraps this attribute
     validate_hyperparams,
 )
 
 _LOG_PI = math.log(math.pi)
+_NOT_PD = ("posterior scale matrix is not positive definite; "
+           "the input data is numerically pathological")
 
 
 @dataclass(frozen=True)
@@ -70,33 +76,37 @@ class IclValue:
     prior_term: float
 
 
-def _batch_logdet_spd(post: np.ndarray, b: int) -> np.ndarray:
-    """Log determinants of stacked symmetric positive definite matrices, b >= 2.
+def _batch_logdet_spd(post: np.ndarray, b: int):
+    """Log determinants of stacked symmetric matrices, b >= 2, and a failure mask.
 
     Dimension two uses the leading-minor test and closed-form determinant;
-    larger dimensions go through a stacked Cholesky. Any
-    non-positive-definite input raises NumericalError.
+    larger dimensions go through a stacked Cholesky, and when that fails each
+    matrix is factored on its own to find the failing ones. A matrix that is
+    not positive definite is marked in the mask and gets a NaN log
+    determinant.
     """
     if b == 2:
         a = post[:, 0, 0]
         c = post[:, 1, 1]
         off = post[:, 0, 1]
         det = a * c - off * off
-        # fmin skips a NaN operand, so this is (a <= 0).any() or (det <= 0).any()
-        if (np.fmin(a, det) <= 0.0).any():
-            raise NumericalError(
-                "posterior scale matrix is not positive definite; "
-                "the input data is numerically pathological"
-            )
-        return np.log(det)
+        # fmin skips a NaN operand, so this is (a <= 0) | (det <= 0)
+        bad = np.fmin(a, det) <= 0.0
+        if bad.any():
+            det[bad] = math.nan
+        return np.log(det), bad
+    bad = np.zeros(len(post), dtype=bool)
     try:
         chol = np.linalg.cholesky(post)
     except np.linalg.LinAlgError:
-        raise NumericalError(
-            "factorization of the posterior scale matrix failed; "
-            "the input data is numerically pathological"
-        ) from None
-    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        chol = np.empty_like(post)
+        for i, mat in enumerate(post):
+            try:
+                chol[i] = np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                bad[i] = True
+                chol[i] = math.nan
+    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1), bad
 
 
 def _count_terms(params: MvHyperParams, n_max: int):
@@ -127,29 +137,37 @@ def _count_terms(params: MvHyperParams, n_max: int):
     return tau * ns / (tau + ns), base, slope
 
 
-def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms) -> np.ndarray:
+def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
     """Group log evidence for stacked groups; ns (K,) int, means (K,b), scatters (K,b,b).
 
-    terms = _count_terms(params, n_max) with n_max >= every count. Rows with
-    a zero count come out exactly zero. At b = 1 the posterior scale is a
-    scalar per row and skips the matrix shapes.
+    Returns the evidences and a mask of the rows whose posterior scale is not
+    positive definite, whose evidence is NaN. terms = _count_terms(params,
+    n_max) with n_max >= every count. Rows with a zero count come out exactly
+    zero. At b = 1 the posterior scale is a scalar per row and skips the
+    matrix shapes.
     """
     coef_t, base_t, slope_t = terms
     coef = coef_t[ns]
     if params.b == 1:
         d = means[:, 0] - params.mu[0]
         post = scatters[:, 0, 0] + params.scale_matrix()[0, 0] + d * d * coef
-        if (post <= 0.0).any():
-            raise NumericalError(
-                "posterior scale matrix is not positive definite; "
-                "the input data is numerically pathological"
-            )
+        bad = post <= 0.0
+        if bad.any():
+            post[bad] = math.nan
         logdet = np.log(post)
     else:
         d = means - params.mu
         post = scatters + params.scale_matrix() + d[:, :, None] * d[:, None, :] * coef[:, None, None]
-        logdet = _batch_logdet_spd(post, params.b)
-    return base_t[ns] - slope_t[ns] * logdet
+        logdet, bad = _batch_logdet_spd(post, params.b)
+    return base_t[ns] - slope_t[ns] * logdet, bad
+
+
+def _checked_evidence(ns, means, scatters, params: MvHyperParams, terms) -> np.ndarray:
+    """_batch_evidence that raises NumericalError instead of flagging a row."""
+    evidence, bad = _batch_evidence(ns, means, scatters, params, terms)
+    if bad.any():
+        raise NumericalError(_NOT_PD)
+    return evidence
 
 
 def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
@@ -163,7 +181,7 @@ def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
     if stats.n == 0:
         return 0.0
     return float(
-        _batch_evidence(
+        _checked_evidence(
             np.array([stats.n]), stats.mean[None, :], stats.scatter[None, :, :], params,
             _count_terms(params, stats.n),
         )[0]
@@ -235,7 +253,7 @@ def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams, term
         counts[g - 1] = st.n
         means[g - 1] = st.mean
         scatters[g - 1] = st.scatter
-    evidence = _batch_evidence(counts, means, scatters, params, terms)
+    evidence = _checked_evidence(counts, means, scatters, params, terms)
     prior = allocation_log_prior(counts[:k], params.alpha, data.n)
     icl = math.fsum(evidence.tolist()) + prior
     return counts, means, scatters, evidence, prior, icl
@@ -248,7 +266,7 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
     labels = alloc.labels.copy()
-    # best_move's garbage source row has up to 2n members
+    # best_moves' garbage source-target row has up to 2n members
     terms = _count_terms(params, 2 * data.n)
     counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params, terms)
     return ClusterState(data, params, terms, labels, counts, means, scatters, evidence, icl)
@@ -290,101 +308,173 @@ class MoveProposal:
     tgt_ev: float
 
 
-def _source_group_of(state: ClusterState, block: np.ndarray) -> int:
-    src_labels = state.labels[block]
-    source = int(src_labels[0])
-    if (src_labels != source).any():
+@dataclass
+class MoveBatch:
+    """Best move of each of B same-group blocks, all scored against one state.
+
+    Row j holds what a MoveProposal holds for blocks[j], as arrays:
+    deltas[j, t - 1] is the exact ICL change of moving the block to group t,
+    targets[j] the first maximiser and gains[j] its delta, and the post-move
+    count, mean, scatter and evidence of every target row and of the source
+    ride along. failed[j]
+    marks a row whose stacked evaluation met a posterior scale that is not
+    positive definite; the rest of that row is meaningless.
+    """
+
+    blocks: Sequence
+    sources: np.ndarray
+    targets: np.ndarray
+    gains: np.ndarray
+    deltas: np.ndarray
+    failed: np.ndarray
+    n_after: np.ndarray
+    means_after: np.ndarray
+    scatters_after: np.ndarray
+    ev_after: np.ndarray
+    src_n: np.ndarray
+    src_means: np.ndarray
+    src_scatters: np.ndarray
+    src_ev: np.ndarray
+
+    def proposal(self, j: int) -> MoveProposal:
+        """Row j as a MoveProposal; a failed row raises NumericalError."""
+        if self.failed[j]:
+            raise NumericalError(_NOT_PD)
+        t = int(self.targets[j]) - 1
+        return MoveProposal(
+            block=np.asarray(self.blocks[j], dtype=np.int64).ravel(),
+            source=int(self.sources[j]), target=t + 1, delta=float(self.deltas[j, t]),
+            deltas=self.deltas[j],
+            src_stats=GroupStats(int(self.src_n[j]), self.src_means[j], self.src_scatters[j]),
+            src_ev=float(self.src_ev[j]),
+            tgt_stats=GroupStats(int(self.n_after[j, t]), self.means_after[j, t],
+                                 self.scatters_after[j, t]),
+            tgt_ev=float(self.ev_after[j, t]),
+        )
+
+
+def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) -> MoveBatch:
+    """Evaluate every candidate target for each of B non-empty blocks.
+
+    Each block must lie in one group; different blocks may come from
+    different groups. Candidates are all current groups (staying put scores
+    exactly zero) plus the spare empty row, a fresh group, when allow_new is
+    set. Ties go to the smallest group label, so the fresh group comes last.
+    All B (K + 2) rows go through one stacked evidence evaluation, each with
+    the expressions a single block would get, so row j is bit for bit what
+    best_move(state, blocks[j], allow_new) computes.
+    """
+    params = state.params
+    values = state.data.values
+    alpha = params.alpha
+    n = state.data.n
+    b = state.data.b
+    k = state.k
+    counts = state.counts
+    sizes_l = [len(block) for block in blocks]
+    nb = len(sizes_l)
+    sizes = np.array(sizes_l)
+    flat = np.concatenate(blocks)
+    unit = flat.size == nb
+    firsts = flat if unit else flat[np.cumsum(sizes) - sizes]
+    sources = state.labels[firsts]
+    if not unit and (state.labels[flat] != np.repeat(sources, sizes)).any():
         raise ValueError("block members belong to different groups")
-    return source
+    rows = np.arange(nb)
+    s = sources - 1
+
+    # block statistics; a one-row block's mean is GroupStats.from_points's
+    # add.reduce of that row, which turns -0.0 into 0.0 as adding 0.0 does
+    b_means = values[firsts] + 0.0
+    b_scats = np.zeros((nb, b, b))
+    if not unit:
+        for j, m in enumerate(sizes_l):
+            if m > 1:
+                st = GroupStats.from_points(values[blocks[j]])
+                b_means[j] = st.mean
+                b_scats[j] = st.scatter
+
+    # the source after removal, by stats_downdate's expressions; an emptied
+    # source is all zeros and a one-member source has a zero scatter
+    n_src = counts[s]
+    n_src_l = n_src.tolist()
+    n_rest = n_src - sizes
+    src_means = ((n_src[:, None] * state.means[s] - sizes[:, None] * b_means)
+                 / np.maximum(n_rest, 1)[:, None])
+    d = b_means - src_means
+    src_scats = (state.scatters[s] - b_scats
+                 - d[:, :, None] * d[:, None, :] * (n_rest * sizes / n_src)[:, None, None])
+    empties = n_rest == 0
+    src_means[empties] = 0.0
+    src_scats[n_rest <= 1] = 0.0
+
+    # one stacked evidence evaluation: per block, rows 0..K hold the block
+    # merged into every row, the spare empty row included (which reproduces
+    # the block's own statistics), and row K + 1 the source after removal;
+    # the source-target row is garbage and gets overwritten with the exact zero
+    ns_stack = np.empty((nb, k + 2), dtype=np.int64)
+    means_stack = np.empty((nb, k + 2, b))
+    scat_stack = np.empty((nb, k + 2, b, b))
+    n_after = np.add(counts, sizes[:, None], out=ns_stack[:, :k + 1])
+    dv = b_means[:, None, :] - state.means
+    means_after = np.add(state.means, dv * (sizes[:, None] / n_after)[:, :, None],
+                         out=means_stack[:, :k + 1])
+    weight = counts * sizes[:, None] / n_after
+    scat_after = np.add(
+        state.scatters + b_scats[:, None],
+        dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None],
+        out=scat_stack[:, :k + 1],
+    )
+    ns_stack[:, k + 1] = n_rest
+    means_stack[:, k + 1] = src_means
+    scat_stack[:, k + 1] = src_scats
+    ev_stack, bad = _batch_evidence(ns_stack.reshape(-1), means_stack.reshape(-1, b),
+                                    scat_stack.reshape(-1, b, b), params, state.count_terms)
+    ev_stack = ev_stack.reshape(nb, k + 2)
+    ev_after = ev_stack[:, :k + 1]
+    src_ev = ev_stack[:, k + 1]
+
+    alpha_nt = alpha + counts
+    lg = math.lgamma
+    dprior = (gammaln(alpha_nt + sizes[:, None]) - gammaln(alpha_nt)
+              - np.array([lg(alpha + c) for c in n_src_l])[:, None])
+    # an emptied source takes K to K - 1; with K = 1 it leaves only the
+    # source and the spare row as targets, both exactly zero below, so its
+    # shift is never read
+    shift_empty = (
+        lg(alpha) + lg((k - 1) * alpha) - lg(k * alpha)
+        - lg((k - 1) * alpha + n) + lg(k * alpha + n)
+    ) if k > 1 else 0.0
+    dprior += np.array([lg(alpha + c - m) if c > m else shift_empty
+                        for c, m in zip(n_src_l, sizes_l)])[:, None]
+    # filling the spare row takes K to K + 1
+    shift_fill = lg((k + 1) * alpha) - lg(k * alpha) - lg((k + 1) * alpha + n) + lg(k * alpha + n)
+    dprior[~empties, k] += shift_fill
+    deltas = ((src_ev - state.group_evidence[s])[:, None]
+              + (ev_after - state.group_evidence) + dprior)
+    deltas[rows, s] = 0.0
+    # a whole group moving to the spare row only relabels: exactly zero, so
+    # it never beats staying put
+    deltas[empties, k] = 0.0
+    if not allow_new:
+        deltas[:, k] = -math.inf
+
+    t = deltas.argmax(axis=1)            # first maximiser, smallest label
+    return MoveBatch(
+        blocks=blocks, sources=sources, targets=t + 1, gains=deltas[rows, t], deltas=deltas,
+        failed=bad.reshape(nb, k + 2).any(axis=1), n_after=n_after, means_after=means_after,
+        scatters_after=scat_after, ev_after=ev_after, src_n=n_rest, src_means=src_means,
+        src_scatters=src_scats, src_ev=src_ev,
+    )
 
 
 def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposal:
-    """Evaluate every candidate target for a non-empty block; return the best.
+    """best_moves for one non-empty block, as a MoveProposal.
 
-    Candidates are all current groups (staying put scores exactly zero) plus
-    the spare empty row, a fresh group, when allow_new is set. Ties go to the
-    smallest group label, so the fresh group comes last. Every target is
-    evaluated in one vectorised batch, and the delta of every candidate is
-    kept on the proposal.
+    A block whose members span several groups raises ValueError, and a
+    posterior scale that is not positive definite raises NumericalError.
     """
-    block = np.asarray(block, dtype=np.int64).ravel()
-    params = state.params
-    data = state.data
-    source = _source_group_of(state, block)
-    k = state.k
-    s = source - 1
-    counts = state.counts
-    n_src = int(counts[s])
-    alpha = params.alpha
-    n = data.n
-    b = data.b
-
-    block_stats = GroupStats.from_points(data.values[block])
-    m = block_stats.n
-    src_view = GroupStats(n_src, state.means[s], state.scatters[s])
-    src_after = stats_downdate(src_view, block_stats)
-    src_ev_before = float(state.group_evidence[s])
-    src_empties = src_after.n == 0
-
-    # one stacked evidence evaluation: rows 0..K hold the block merged into
-    # every row, the spare empty row included (which reproduces the block's
-    # own statistics), and row K + 1 the source after removal; the
-    # source-target row is garbage and gets overwritten with the exact zero
-    ns_stack = np.empty(k + 2, dtype=np.int64)
-    means_stack = np.empty((k + 2, b))
-    scat_stack = np.empty((k + 2, b, b))
-    n_after = np.add(counts, m, out=ns_stack[:k + 1])
-    dv = block_stats.mean - state.means
-    means_after = np.add(state.means, dv * (m / n_after)[:, None], out=means_stack[:k + 1])
-    scat_after = np.add(
-        state.scatters + block_stats.scatter,
-        dv[:, :, None] * dv[:, None, :] * (counts * m / n_after)[:, None, None],
-        out=scat_stack[:k + 1],
-    )
-    ns_stack[k + 1] = src_after.n
-    means_stack[k + 1] = src_after.mean
-    scat_stack[k + 1] = src_after.scatter
-    ev_stack = _batch_evidence(ns_stack, means_stack, scat_stack, params, state.count_terms)
-    ev_after = ev_stack[:k + 1]
-    src_ev_after = float(ev_stack[k + 1])
-
-    alpha_nt = alpha + counts
-    dprior = gammaln(alpha_nt + m) - gammaln(alpha_nt) - math.lgamma(alpha + n_src)
-    if not src_empties:
-        dprior += math.lgamma(alpha + n_src - m)
-        # filling the spare row takes K to K + 1
-        dprior[k] += (
-            math.lgamma((k + 1) * alpha)
-            - math.lgamma(k * alpha)
-            - math.lgamma((k + 1) * alpha + n)
-            + math.lgamma(k * alpha + n)
-        )
-    elif k > 1:
-        # with K = 1 the only targets are the source and the spare row,
-        # both exactly zero below
-        dprior += (
-            math.lgamma(alpha)
-            + math.lgamma((k - 1) * alpha)
-            - math.lgamma(k * alpha)
-            - math.lgamma((k - 1) * alpha + n)
-            + math.lgamma(k * alpha + n)
-        )
-    deltas = (src_ev_after - src_ev_before) + (ev_after - state.group_evidence) + dprior
-    deltas[s] = 0.0
-    if src_empties:
-        # a whole group moving to the spare row only relabels: exactly zero,
-        # so it never beats staying put
-        deltas[k] = 0.0
-    if not allow_new:
-        deltas[k] = -math.inf
-
-    t = int(deltas.argmax())             # first maximiser, smallest label
-    return MoveProposal(
-        block=block, source=source, target=t + 1, delta=float(deltas[t]), deltas=deltas,
-        src_stats=src_after, src_ev=src_ev_after,
-        tgt_stats=GroupStats(int(n_after[t]), means_after[t], scat_after[t]),
-        tgt_ev=float(ev_after[t]),
-    )
+    return best_moves(state, [np.asarray(block, dtype=np.int64).ravel()], allow_new).proposal(0)
 
 
 def apply_move(state: ClusterState, prop: MoveProposal) -> None:

@@ -10,6 +10,20 @@ block size drawn from a Beta-Binomial, which lets the search escape local
 optima that single-observation moves cannot leave. Blocks are read off one
 neighbour order per dataset (io.neighbor_order), shared by every restart.
 
+The loop scores a run of upcoming visits in one best_moves call, every block
+against the same state, and applies the first accepted move of the run. Most
+proposals are rejected, and a rejected visit leaves the state as it was, so
+every row up to the first accepted one is exactly what scoring one visit at a
+time would have computed. The rows after it were scored against a state that
+the move changes, so they are dropped and the loop resumes at the next
+visit. A combined run draws its blocks under the current labels; after an
+acceptance the block stream is rewound and the draws up to the accepted visit
+are replayed, so the stream ends where the one-at-a-time loop leaves it. A
+row whose evidence failed raises NumericalError only when no accepted row
+comes before it. The run starts at one visit, doubles after a run without an
+acceptance up to RUN_MAX and starts over after one, so seeded output is the
+same for any run length.
+
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored with icl_exact, and the best
 exact ICL wins.
@@ -33,6 +47,10 @@ logger = logging.getLogger(__name__)
 # objective is unstable, so sub-EPSILON gains never trigger a move and never
 # keep the plain variant's sweep loop alive.
 EPSILON = 1e-10
+
+# The longest run of upcoming visits scored in one best_moves call; it
+# changes speed only, never output.
+RUN_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -116,23 +134,47 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
     Each sweep visits every observation once in random order and applies the
     best move of its block when that move changes the group and gains more
     than EPSILON. Blocks come from neighbor_block when an order is given.
+    Visits are scored in runs, as the module docstring describes.
     """
     state = icl_mod.make_state(data, init, params)
     # separate streams so the visit order draws do not depend on whether
     # block sizes are being sampled; unit blocks leave the second unused
     order_rng, block_rng = rng.spawn(2)
+
+    def draw(i):
+        return neighbor_block(i, state.labels, order, config.beta1, config.beta2, block_rng)
+
     trace = [(0, state.icl)]
+    run = 1
     for sweep in range(1, config.max_sweeps + 1):
         start = state.icl
-        for i in order_rng.permutation(data.n):
+        visits = order_rng.permutation(data.n)
+        pos = 0
+        while pos < data.n:
+            batch = visits[pos:pos + run]
             if order is None:
-                block = np.array([i])
+                blocks = batch[:, None]
             else:
-                block = neighbor_block(i, state.labels, order,
-                                       config.beta1, config.beta2, block_rng)
-            prop = icl_mod.best_move(state, block, allow_new=state.k < config.k_max)
-            if prop.target != prop.source and prop.delta > EPSILON:
-                icl_mod.apply_move(state, prop)
+                saved = block_rng.bit_generator.state
+                blocks = [draw(i) for i in batch]
+            moves = icl_mod.best_moves(state, blocks, allow_new=state.k < config.k_max)
+            # staying put scores exactly zero, so a gain above EPSILON moves
+            stops = np.flatnonzero(moves.failed | (moves.gains > EPSILON))
+            if stops.size == 0:
+                pos += batch.size
+                run = min(2 * run, RUN_MAX)
+                continue
+            j = int(stops[0])
+            # raises NumericalError on a failed row, where one visit at a time would
+            prop = moves.proposal(j)
+            if order is not None and j + 1 < batch.size:
+                # the draws past visit j were made under labels this move changes
+                block_rng.bit_generator.state = saved
+                for i in batch[:j + 1]:
+                    draw(i)
+            icl_mod.apply_move(state, prop)
+            pos += j + 1
+            run = 1
         trace.append((sweep, state.icl))
         if order is None and state.icl - start <= EPSILON:
             break

@@ -265,3 +265,67 @@ def test_bad_mu_is_a_validation_error(capsys, tmp_path, cluster_csv, command, mu
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("cluster-galaxy", ["--nu", "50", "--omega", "9"]),
+    ("cluster", ["--gamma", "2"]),
+    ("sweep", ["--delta", "0.1"]),
+    ("sweep-galaxy", ["--nu", "5"]),
+    ("eval", ["--gamma", "2"]),
+    ("generate-b2", ["--delta", "0.1"]),
+    ("generate-b1", ["--omega", "2"]),
+])
+def test_other_family_prior_flag_is_rejected(capsys, tmp_path, cluster_csv, galaxy_path,
+                                             command, flags):
+    # the flags of the other prior family used to be dropped without a word
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n" * 24)
+    out = ["--out-data", str(tmp_path / "d.csv"), "--out-labels", str(tmp_path / "l.csv")]
+    run_flags = ["--restarts", "1", "--sweeps", "1", "--seed", "1"]
+    argv = {
+        "cluster": ["cluster", "--data", str(cluster_csv)] + run_flags,
+        "cluster-galaxy": ["cluster", "--data", str(galaxy_path), "--standardize"] + run_flags,
+        "sweep": ["sweep", "--data", str(cluster_csv), "--tau-grid", "0.1,0.01"] + run_flags,
+        "sweep-galaxy": ["sweep", "--data", str(galaxy_path), "--tau-grid", "0.1"] + run_flags,
+        "eval": ["eval", "--data", str(cluster_csv), "--labels", str(labels)],
+        "generate-b2": ["generate", "--n", "10", "--k", "2", "--b", "2"] + out,
+        "generate-b1": ["generate", "--n", "10", "--k", "2", "--b", "1"] + out,
+    }[command]
+    code, stdout, err = run(capsys, argv + flags)
+    assert code == 1
+    assert err.startswith("error:")
+    assert flags[0] in err
+    assert "ICL_ex" not in stdout
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_omitted_prior_flags_take_their_defaults(capsys, tmp_path, cluster_csv, galaxy_path):
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, ["cluster", "--data", str(cluster_csv), "--restarts", "1",
+                              "--sweeps", "1", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    hyper = read_result(out)["hyperparams"]
+    assert (hyper["nu"], hyper["omega"]) == (3, 1.0)
+    code, _, _ = run(capsys, ["cluster", "--data", str(galaxy_path), "--standardize",
+                              "--restarts", "1", "--sweeps", "1", "--seed", "1",
+                              "--out", str(out)])
+    assert code == 0
+    hyper = read_result(out)["hyperparams"]
+    assert (hyper["gamma"], hyper["delta"]) == (0.5, 0.5)
+
+
+def test_every_restart_failing_exits_3(capsys, monkeypatch, cluster_csv):
+    import iclust.optimizer as opt
+    from iclust.model import NumericalError
+
+    def boom(*args, **kwargs):
+        raise NumericalError("forced failure")
+
+    monkeypatch.setattr(opt, "greedy_combined_icl", boom)
+    code, stdout, err = run(capsys, ["cluster", "--data", str(cluster_csv), "--restarts", "2",
+                                     "--sweeps", "1", "--seed", "1"])
+    assert code == 3
+    assert err.startswith("numerical error:")
+    assert "every restart" in err
+    assert "ICL_ex" not in stdout

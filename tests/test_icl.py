@@ -17,7 +17,7 @@ from iclust import (
     make_state,
     relabel_compact,
 )
-from iclust.icl import apply_move, best_move
+from iclust.icl import apply_move, best_move, best_moves
 
 from oracles import (
     enumerate_label_vectors,
@@ -375,6 +375,77 @@ class TestIclDelta:
             labels[block] = target
             after = icl_exact(galaxy_standardized, relabel_compact(labels), params).total
             assert d == pytest.approx(after - before, abs=1e-8)
+
+
+def _same_proposal(a, b):
+    return (a.block.tolist() == b.block.tolist() and (a.source, a.target) == (b.source, b.target)
+            and a.delta.hex() == b.delta.hex() and a.deltas.tobytes() == b.deltas.tobytes()
+            and a.src_ev.hex() == b.src_ev.hex() and a.tgt_ev.hex() == b.tgt_ev.hex()
+            and (a.src_stats.n, a.tgt_stats.n) == (b.src_stats.n, b.tgt_stats.n)
+            and a.src_stats.mean.tobytes() == b.src_stats.mean.tobytes()
+            and a.src_stats.scatter.tobytes() == b.src_stats.scatter.tobytes()
+            and a.tgt_stats.mean.tobytes() == b.tgt_stats.mean.tobytes()
+            and a.tgt_stats.scatter.tobytes() == b.tgt_stats.scatter.tobytes())
+
+
+class TestMoveBatch:
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_rows_are_bit_identical_to_single_blocks(self, b):
+        # unit, partial and whole-group blocks from different groups in one
+        # stack; integer cells make duplicates and emptied sources common
+        rng = np.random.default_rng(40 + b)
+        data = DataSet(rng.integers(-2, 3, size=(24, b)).astype(float))
+        params = MvHyperParams(alpha=1.5, tau=0.1, mu=np.full(b, 0.3), nu=b + 0.5, omega=0.7)
+        state = make_state(data, relabel_compact(rng.integers(1, 6, size=24)), params)
+        for _ in range(20):
+            blocks = []
+            for _ in range(int(rng.integers(1, 9))):
+                g = int(rng.integers(1, state.k + 1))
+                members = np.flatnonzero(state.labels == g)
+                blocks.append(rng.choice(members, size=int(rng.integers(1, members.size + 1)),
+                                         replace=False))
+            allow_new = bool(rng.integers(2))
+            moves = best_moves(state, blocks, allow_new)
+            assert not moves.failed.any()
+            for j, block in enumerate(blocks):
+                assert _same_proposal(moves.proposal(j), best_move(state, block, allow_new))
+            prop = moves.proposal(0)
+            if prop.target != prop.source:
+                apply_move(state, prop)
+
+    def test_mixed_block_raises(self, small_data, mv_params):
+        state = make_state(small_data, np.array([1, 2] * 6), mv_params)
+        with pytest.raises(ValueError, match="different groups"):
+            best_moves(state, [np.array([0]), np.array([0, 1])])
+        with pytest.raises(ValueError, match="different groups"):
+            best_move(state, np.array([2, 3]))
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_failed_row_flags_only_its_own_block(self, b):
+        # a scatter of -xi + 1e-6 I for group 1 (impossible through the public
+        # API) leaves every merge into group 1 positive definite, while taking
+        # one point out of group 1 leaves a posterior scale with a negative
+        # eigenvalue; at b = 3 this sends the stacked Cholesky down its
+        # per-matrix fallback
+        from iclust import NumericalError
+
+        rng = np.random.default_rng(7)
+        data = DataSet(rng.standard_normal((18, b)) * 3.0)
+        params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(b), nu=b + 1.0, omega=1.0)
+        state = make_state(data, np.repeat([1, 2, 3], 6), params)
+        state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(b)
+        blocks = [np.array([i]) for i in (0, 6, 1, 12, 7)]
+        moves = best_moves(state, blocks)
+        assert moves.failed.tolist() == [True, False, True, False, False]
+        for j, block in enumerate(blocks):
+            if moves.failed[j]:
+                with pytest.raises(NumericalError, match="positive definite"):
+                    moves.proposal(j)
+                with pytest.raises(NumericalError, match="positive definite"):
+                    best_move(state, block)
+            else:
+                assert np.isfinite(moves.deltas[j]).all()
+                assert _same_proposal(moves.proposal(j), best_move(state, block))
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import iclust.icl as icl_mod
+import iclust.optimizer as opt
 from iclust import (
     Allocation,
     DataSet,
@@ -137,20 +138,21 @@ class TestGreedyIcl:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_evaluation_budget_per_visit(self, monkeypatch):
-        # exactly K_current + 1 candidate deltas per visited observation
+        # exactly K_current + 1 candidate deltas for every visit the kernel scores
         data = two_cluster_data(seed=5)
         params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
                                nu=3.0, omega=1.0)
         counts = []
-        real_best_move = icl_mod.best_move
+        real_best_moves = icl_mod.best_moves
 
-        def counting_best_move(state, block, allow_new=True):
-            prop = real_best_move(state, block, allow_new)
+        def counting_best_moves(state, blocks, allow_new=True):
+            moves = real_best_moves(state, blocks, allow_new)
             expected = state.k + (1 if allow_new else 0)
-            counts.append((int(np.isfinite(prop.deltas).sum()), expected, state.k))
-            return prop
+            for row in moves.deltas:
+                counts.append((int(np.isfinite(row).sum()), expected, state.k))
+            return moves
 
-        monkeypatch.setattr(icl_mod, "best_move", counting_best_move)
+        monkeypatch.setattr(icl_mod, "best_moves", counting_best_moves)
         init = relabel_compact(np.random.default_rng(0).integers(1, 5, size=10))
         config = SearchConfig(max_sweeps=3, restarts=1, k_max=4, seed=0)
         greedy_icl(data, params, init, config, np.random.default_rng(2))
@@ -166,19 +168,103 @@ class TestGreedyIcl:
         params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
                                nu=3.0, omega=1.0)
         seen_k = []
-        real_best_move = icl_mod.best_move
+        real_best_moves = icl_mod.best_moves
 
-        def spy(state, block, allow_new=True):
+        def spy(state, blocks, allow_new=True):
             seen_k.append(state.k)
             if state.k >= 2:
                 assert not allow_new
-            return real_best_move(state, block, allow_new)
+            return real_best_moves(state, blocks, allow_new)
 
-        monkeypatch.setattr(icl_mod, "best_move", spy)
+        monkeypatch.setattr(icl_mod, "best_moves", spy)
         config = SearchConfig(max_sweeps=5, restarts=2, k_max=2, seed=3)
         sol = multi_start(data, params, config, algorithm="plain")
         assert max(seen_k) <= 2
         assert sol.K <= 2
+
+
+def _run_scoring_data(b):
+    if b == 1:
+        return DataSet(np.random.default_rng(11).standard_normal(60) * 2.0), \
+            UvHyperParams(alpha=1.0, tau=0.1, mu=0.0, gamma=1.0, delta=0.5)
+    gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(b), nu=b + 1.0, omega=0.5)
+    data = sample_dataset(60, 4, gen, np.random.default_rng(b)).data
+    return data, MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
+                               nu=b + 1.0, omega=0.5)
+
+
+class TestRunScoring:
+    """The sweep loop scores runs of visits; seeded output must not notice."""
+
+    @pytest.mark.parametrize("k_max", [20, 2, 1])
+    @pytest.mark.parametrize("algorithm", ["plain", "combined"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_runs_match_one_visit_at_a_time(self, monkeypatch, b, algorithm, k_max):
+        data, params = _run_scoring_data(b)
+        config = SearchConfig(max_sweeps=4, restarts=2, beta1=0.2, beta2=0.04, k_max=k_max,
+                              seed=b)
+        runs = multi_start(data, params, config, algorithm=algorithm)
+        monkeypatch.setattr(opt, "RUN_MAX", 1)
+        single = multi_start(data, params, config, algorithm=algorithm)
+        assert runs.allocation.labels.tolist() == single.allocation.labels.tolist()
+        assert runs.icl.hex() == single.icl.hex()
+        assert runs.trace == single.trace
+        assert runs.restart_bests == single.restart_bests
+        if k_max == 1:
+            # the whole search at K = 1: the fresh group is never offered
+            assert runs.K == 1
+            assert runs.icl == icl_exact(data, np.ones(data.n, dtype=int), params).total
+
+    @pytest.mark.parametrize("algorithm", ["plain", "combined"])
+    def test_failed_row_after_an_acceptance_is_dropped(self, monkeypatch, algorithm):
+        # the rows after the first accepted one are never read, so flagging
+        # them changes nothing
+        data, params = _run_scoring_data(2)
+        config = SearchConfig(max_sweeps=4, restarts=2, k_max=20, seed=4)
+        clean = multi_start(data, params, config, algorithm=algorithm)
+        real_best_moves = icl_mod.best_moves
+        flagged = []
+
+        def flag_after_acceptance(state, blocks, allow_new=True):
+            moves = real_best_moves(state, blocks, allow_new)
+            accepted = np.flatnonzero(moves.gains > opt.EPSILON)
+            if accepted.size and accepted[0] + 1 < len(blocks):
+                moves.failed[accepted[0] + 1:] = True
+                flagged.append(len(blocks) - accepted[0] - 1)
+            return moves
+
+        monkeypatch.setattr(icl_mod, "best_moves", flag_after_acceptance)
+        sol = multi_start(data, params, config, algorithm=algorithm)
+        assert flagged
+        assert sol.allocation.labels.tolist() == clean.allocation.labels.tolist()
+        assert sol.icl.hex() == clean.icl.hex()
+        assert sol.restart_bests == clean.restart_bests
+
+    @pytest.mark.parametrize("algorithm", ["plain", "combined"])
+    def test_failed_row_before_any_acceptance_raises(self, monkeypatch, algorithm):
+        from iclust.model import NumericalError
+
+        data, params = _run_scoring_data(2)
+        config = SearchConfig(max_sweeps=4, restarts=1, k_max=20, seed=4)
+        real_best_moves = icl_mod.best_moves
+        calls = []
+
+        def flag_second_row(state, blocks, allow_new=True):
+            moves = real_best_moves(state, blocks, allow_new)
+            calls.append(len(blocks))
+            if len(blocks) > 1 and not moves.gains[0] > opt.EPSILON:
+                moves.failed[1] = True
+            return moves
+
+        monkeypatch.setattr(icl_mod, "best_moves", flag_second_row)
+        init = relabel_compact(np.random.default_rng(0).integers(1, 6, size=data.n))
+        with pytest.raises(NumericalError, match="positive definite"):
+            if algorithm == "plain":
+                greedy_icl(data, params, init, config, np.random.default_rng(1))
+            else:
+                greedy_combined_icl(data, params, init, config, neighbor_order(data),
+                                    np.random.default_rng(1))
+        assert calls[-1] > 1
 
 
 class TestGreedyCombined:
