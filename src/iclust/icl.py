@@ -27,8 +27,10 @@ with nu = 2 gamma and xi = 2 delta, so one kernel, _batch_evidence, scores
 both: validate_hyperparams hands it that Wishart form, and at b = 1 the
 kernel takes a scalar shape branch where the log determinant is the log of
 the posterior scale itself. Every term that depends on a group's count
-alone is read from _count_terms, a table over counts built once per search
-state, so the kernel's own work is the posterior scale and its determinant.
+alone, the prior's lgamma(a + n_g) included, is read from _count_terms's four
+read-only tables over counts, built with one math.lgamma call per distinct
+argument and shared by every state and rescoring with the same prior, so the
+kernel's own work is the posterior scale and its determinant.
 
 This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
@@ -43,12 +45,12 @@ failed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     Allocation,
@@ -110,31 +112,38 @@ def _batch_logdet_spd(post: np.ndarray, b: int):
 
 
 def _count_terms(params: MvHyperParams, n_max: int):
-    """Tables (coef, base, slope) over counts c = 0..n_max of the evidence terms.
+    """Tables (coef, base, slope, lg_prior) over counts c = 0..n_max.
 
     A group of c members whose posterior scale has log determinant L has log
-    evidence base[c] - slope[c] * L; coef[c] = tau c / (tau + c). Entry 0 of
-    base and slope is zero, so an empty row scores exactly zero.
+    evidence base[c] - slope[c] * L; coef[c] = tau c / (tau + c) and
+    lg_prior[c] = lgamma(alpha + c). Entry 0 of base and slope is zero, so an
+    empty row scores exactly zero. Each lgamma is one math.lgamma call, the b
+    shifted terms of base sharing lgamma((nu + j) / 2) for j = 1 - b..n_max,
+    and the tables are built once per prior and n_max and shared read-only.
     """
-    b = params.b
-    tau = params.tau
-    nu = params.nu
+    return _tables(params.b, params.alpha, params.tau, params.nu, params.log_det_scale, n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(b: int, alpha: float, tau: float, nu: float, log_det_scale: float, n_max: int):
     ns = np.arange(n_max + 1, dtype=float)
-    s = np.arange(1, b + 1, dtype=float)
-    lgamma_nu = gammaln((nu + 1.0 - s) / 2.0).sum()
-    if b == 1:
-        lg = gammaln((nu + ns) / 2.0) - lgamma_nu
-    else:
-        lg = gammaln((nu + ns[:, None] + 1.0 - s) / 2.0).sum(axis=1) - lgamma_nu
+    half = np.array(list(map(math.lgamma, ((nu + np.arange(1 - b, n_max + 1)) / 2.0).tolist())))
+    # lgamma((nu + c + 1 - s) / 2) is half[c + b - s]; entry 0 is the prior's own sum
+    lg = sum(half[b - s:b - s + n_max + 1] for s in range(1, b + 1))
+    lg -= lg[0]
     base = (
         -0.5 * b * ns * _LOG_PI
         + 0.5 * b * (np.log(tau) - np.log(tau + ns))
         + lg
-        + 0.5 * nu * params.log_det_scale
+        + 0.5 * nu * log_det_scale
     )
     slope = 0.5 * (nu + ns)
     base[0] = slope[0] = 0.0
-    return tau * ns / (tau + ns), base, slope
+    tables = (tau * ns / (tau + ns), base, slope,
+              np.array(list(map(math.lgamma, (alpha + ns).tolist()))))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
@@ -146,7 +155,7 @@ def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
     zero. At b = 1 the posterior scale is a scalar per row and skips the
     matrix shapes.
     """
-    coef_t, base_t, slope_t = terms
+    coef_t, base_t, slope_t, _ = terms
     coef = coef_t[ns]
     if params.b == 1:
         d = means[:, 0] - params.mu[0]
@@ -230,8 +239,9 @@ def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
+    # 2n, as make_state asks, so a search's final rescoring reuses its tables
     _, _, _, evidence, prior_term, total = _build_arrays(
-        data, alloc.labels, params, _count_terms(params, data.n)
+        data, alloc.labels, params, _count_terms(params, 2 * data.n)
     )
     return IclValue(total=total, data_term=math.fsum(evidence.tolist()), prior_term=prior_term)
 
@@ -397,7 +407,6 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
     # the source after removal, by stats_downdate's expressions; an emptied
     # source is all zeros and a one-member source has a zero scatter
     n_src = counts[s]
-    n_src_l = n_src.tolist()
     n_rest = n_src - sizes
     src_means = ((n_src[:, None] * state.means[s] - sizes[:, None] * b_means)
                  / np.maximum(n_rest, 1)[:, None])
@@ -434,10 +443,8 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
     ev_after = ev_stack[:, :k + 1]
     src_ev = ev_stack[:, k + 1]
 
-    alpha_nt = alpha + counts
+    lgp = state.count_terms[3]
     lg = math.lgamma
-    dprior = (gammaln(alpha_nt + sizes[:, None]) - gammaln(alpha_nt)
-              - np.array([lg(alpha + c) for c in n_src_l])[:, None])
     # an emptied source takes K to K - 1; with K = 1 it leaves only the
     # source and the spare row as targets, both exactly zero below, so its
     # shift is never read
@@ -445,8 +452,10 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
         lg(alpha) + lg((k - 1) * alpha) - lg(k * alpha)
         - lg((k - 1) * alpha + n) + lg(k * alpha + n)
     ) if k > 1 else 0.0
-    dprior += np.array([lg(alpha + c - m) if c > m else shift_empty
-                        for c, m in zip(n_src_l, sizes_l)])[:, None]
+    lgp_rest = lgp[n_rest]
+    lgp_rest[empties] = shift_empty
+    dprior = lgp[n_after] - lgp[counts] - lgp[n_src][:, None]
+    dprior += lgp_rest[:, None]
     # filling the spare row takes K to K + 1
     shift_fill = lg((k + 1) * alpha) - lg(k * alpha) - lg((k + 1) * alpha + n) + lg(k * alpha + n)
     dprior[~empties, k] += shift_fill

@@ -75,10 +75,9 @@ class Allocation:
         if int(labels.min()) < 1:
             raise ValueError("labels must be >= 1")
         k = int(labels.max())
-        present = np.unique(labels)
-        if present.size != k:
-            missing = sorted(set(range(1, k + 1)) - set(present.tolist()))
-            raise ValueError(f"allocation is not compact, missing group(s) {missing}")
+        missing = np.flatnonzero(np.bincount(labels)[1:] == 0) + 1
+        if missing.size:
+            raise ValueError(f"allocation is not compact, missing group(s) {missing.tolist()}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "K", k)

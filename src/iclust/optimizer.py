@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not inside the first search
 
 from . import icl as icl_mod
 from .model import Allocation, DataSet, HyperParams, NumericalError, validate_hyperparams

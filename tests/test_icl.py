@@ -17,7 +17,7 @@ from iclust import (
     make_state,
     relabel_compact,
 )
-from iclust.icl import apply_move, best_move, best_moves
+from iclust.icl import _count_terms, apply_move, best_move, best_moves
 
 from oracles import (
     enumerate_label_vectors,
@@ -225,6 +225,27 @@ class TestAllocationPrior:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def icl_cases(draw):
+    """Data with b in 1..3, a random compact allocation and a Normal-Wishart
+    or (at b = 1) Normal-Gamma prior."""
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.floats(-10, 10), min_size=n * b, max_size=n * b))
+    k = draw(st.integers(1, n))
+    z = relabel_compact(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    alpha = draw(st.sampled_from([0.5, 1.5, 4.0]))
+    tau = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    if b == 1 and draw(st.booleans()):
+        params = UvHyperParams(alpha=alpha, tau=tau, mu=0.3, gamma=draw(st.sampled_from([0.5, 1.0])),
+                               delta=draw(st.sampled_from([0.1, 0.5])))
+    else:
+        params = MvHyperParams(alpha=alpha, tau=tau, mu=np.full(b, 0.3),
+                               nu=b - 1 + draw(st.sampled_from([0.5, 1.0, 2.5])),
+                               omega=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return DataSet(np.array(cells).reshape(n, b)), z, params
+
+
 class TestIclExact:
     def test_additivity(self, small_data, mv_params):
         z = Allocation(np.array([1] * 4 + [2] * 4 + [3] * 4))
@@ -236,22 +257,21 @@ class TestIclExact:
         assert value.data_term == pytest.approx(math.fsum(parts), abs=0.0)
         assert value.total == value.data_term + value.prior_term
 
-    def test_label_permutation_bit_identity(self, small_data, mv_params, rng):
-        z = rng.integers(1, 4, size=small_data.n)
-        z = relabel_compact(z)
-        perm = np.array([3, 1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(case=icl_cases(), data=st.data())
+    def test_label_permutation_bit_identity(self, case, data):
+        x, z, params = case
+        perm = np.array(data.draw(st.permutations(range(1, z.K + 1))))
         z2 = Allocation(perm[z.labels - 1])
-        v1 = icl_exact(small_data, z, mv_params)
-        v2 = icl_exact(small_data, z2, mv_params)
-        assert v1.total == v2.total
+        assert icl_exact(x, z, params).total == icl_exact(x, z2, params).total
 
-    def test_observation_permutation_invariance(self, small_data, mv_params, rng):
-        z = relabel_compact(rng.integers(1, 4, size=small_data.n))
-        perm = rng.permutation(small_data.n)
-        data2 = DataSet(small_data.values[perm])
-        z2 = relabel_compact(z.labels[perm])
-        v1 = icl_exact(small_data, z, mv_params).total
-        v2 = icl_exact(data2, z2, mv_params).total
+    @settings(max_examples=150, deadline=None)
+    @given(case=icl_cases(), data=st.data())
+    def test_observation_permutation_invariance(self, case, data):
+        x, z, params = case
+        perm = np.array(data.draw(st.permutations(range(x.n))))
+        v1 = icl_exact(x, z, params).total
+        v2 = icl_exact(DataSet(x.values[perm]), relabel_compact(z.labels[perm]), params).total
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_single_point_at_mu_total(self, mv_params):
@@ -446,6 +466,69 @@ class TestMoveBatch:
             else:
                 assert np.isfinite(moves.deltas[j]).all()
                 assert _same_proposal(moves.proposal(j), best_move(state, block))
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("b,nu", [(1, 2.7), (3, 2.3), (3, 4.6)])
+    def test_every_lgamma_is_math_lgamma_at_its_argument(self, b, nu):
+        params = MvHyperParams(alpha=1.7, tau=0.3, mu=np.zeros(b), nu=nu, omega=0.8)
+        n_max = 300
+        coef, base, slope, lg_prior = _count_terms(params, n_max)
+        cs = range(n_max + 1)
+        assert lg_prior.tolist() == [math.lgamma(1.7 + c) for c in cs]
+        assert coef.tolist() == [0.3 * c / (0.3 + c) for c in cs]
+        assert slope.tolist() == [0.0] + [0.5 * (nu + c) for c in cs[1:]]
+        # base with its lgamma sum rebuilt from scalar math.lgamma calls
+        lg = np.array([sum(math.lgamma((nu + (c + 1 - s)) / 2) for s in range(1, b + 1))
+                       for c in cs])
+        ns = np.arange(n_max + 1, dtype=float)
+        expected = (-0.5 * b * ns * math.log(math.pi)
+                    + 0.5 * b * (np.log(0.3) - np.log(0.3 + ns))
+                    + (lg - lg[0])
+                    + 0.5 * nu * params.log_det_scale)
+        expected[0] = 0.0
+        assert base.tobytes() == expected.tobytes()
+
+    def test_tables_are_read_only(self, mv_params):
+        for table in _count_terms(mv_params, 10):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0.0
+
+    def test_states_and_rescoring_share_one_set_of_tables(self, small_data, mv_params):
+        first = make_state(small_data, np.array([1, 2] * 6), mv_params)
+        twin = MvHyperParams(alpha=4.0, tau=1.0, mu=np.zeros(2), nu=3.0, omega=1.0)
+        second = make_state(small_data, np.ones(12, dtype=int), twin)
+        assert first.count_terms is second.count_terms
+        assert _count_terms(mv_params, 2 * small_data.n) is first.count_terms
+
+    @pytest.mark.parametrize("labels,block", [
+        ([1, 1, 1, 2, 2, 3, 3, 3, 3, 1], [0, 9]),      # an ordinary move, and the spare row
+        ([1, 1, 1, 2, 2, 3, 3, 3, 3, 1], [3, 4]),      # the source empties: K - 1
+        ([1, 2, 2, 2, 3, 3, 2, 3, 2, 2], [0]),         # a singleton source empties
+        ([1] * 10, [2, 5, 7]),                         # K = 1, to the spare row: K + 1
+    ])
+    def test_prior_part_of_each_delta_is_the_prior_change(self, labels, block):
+        rng = np.random.default_rng(3)
+        data = DataSet(rng.standard_normal((10, 2)))
+        params = MvHyperParams(alpha=0.7, tau=0.1, mu=np.zeros(2), nu=3.5, omega=1.0)
+        state = make_state(data, np.array(labels), params)
+        moves = best_moves(state, [np.array(block)], allow_new=True)
+        k, s, m = state.k, int(moves.sources[0]) - 1, len(block)
+        counts = state.counts[:k]
+        before = allocation_log_prior(counts, params.alpha, data.n)
+        checked = 0
+        for t in range(k + 1):
+            if t == s or (t == k and counts[s] == m):
+                continue  # staying put, or a whole group relabelled: exactly zero
+            after = np.append(counts, 0)
+            after[s] -= m
+            after[t] += m
+            evidence = ((moves.src_ev[0] - state.group_evidence[s])
+                        + (moves.ev_after[0, t] - state.group_evidence[t]))
+            prior = allocation_log_prior(after[after > 0], params.alpha, data.n) - before
+            assert moves.deltas[0, t] - evidence == pytest.approx(prior, abs=1e-12)
+            checked += 1
+        assert checked == k - (counts[s] == m)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,10 @@ class TestAllocation:
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="missing group"):
             Allocation(np.array([1, 3, 3]))
+
+    def test_missing_groups_listed_in_ascending_order(self):
+        with pytest.raises(ValueError, match=re.escape("missing group(s) [2, 3]")):
+            Allocation(np.array([1, 4, 4]))
 
     def test_zero_label_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
