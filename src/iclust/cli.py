@@ -161,13 +161,14 @@ def _family_values(args, b: int, overrides=None) -> dict:
     return {name: defaults[name] if v is None else v for name, v in given.items()}
 
 
-def _build_params(args, data, overrides=None):
+def _build_params(args, b: int, default_mu: np.ndarray, overrides=None):
+    """The prior of b-column data; default_mu stands in for an omitted --mu."""
     o = dict(overrides or {})
     alpha = o.get("alpha", args.alpha)
     tau = o.get("tau", args.tau)
-    family = _family_values(args, data.b, o)
-    mu = _parse_mu(args.mu, data.b, data.values.mean(axis=0))
-    if data.b == 1:
+    family = _family_values(args, b, o)
+    mu = _parse_mu(args.mu, b, default_mu)
+    if b == 1:
         return UvHyperParams(alpha=alpha, tau=tau, mu=float(mu[0]), **family)
     return MvHyperParams(alpha=alpha, tau=tau, mu=mu, **family)
 
@@ -193,7 +194,7 @@ def _load_data(args):
 
 def cmd_cluster(args) -> int:
     data = _load_data(args)
-    params = _build_params(args, data)
+    params = _build_params(args, data.b, data.values.mean(axis=0))
     config = _search_config(args)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     t0 = time.perf_counter()
@@ -219,12 +220,7 @@ def cmd_generate(args) -> int:
     if args.n < 1 or args.k < 1 or args.b < 1:
         raise ValueError("--n, --k and --b must all be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    mu = _parse_mu(args.mu, args.b, np.zeros(args.b))
-    family = _family_values(args, args.b)
-    if args.b == 1:
-        params = UvHyperParams(alpha=args.alpha, tau=args.tau, mu=float(mu[0]), **family)
-    else:
-        params = MvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu, **family)
+    params = _build_params(args, args.b, np.zeros(args.b))
     sample = sample_dataset(args.n, args.k, params, rng)
     write_csv(sample.data, args.out_data)
     labels = sample.allocation.labels.reshape(-1, 1).astype(float)
@@ -268,7 +264,7 @@ def cmd_sweep(args) -> int:
     for idx, row in enumerate(rows):
         seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,)).generate_state(1)[0])
         try:
-            params = _build_params(args, data, overrides=row)
+            params = _build_params(args, data.b, data.values.mean(axis=0), overrides=row)
             config = _search_config(args, seed=seed, overrides=row)
             results.append((multi_start(data, params, config, order, algorithm=args.algorithm), None))
         except (ValueError, NumericalError) as exc:
@@ -309,7 +305,7 @@ def cmd_eval(args) -> int:
     if raw.size != data.n:
         raise ValueError(f"labels have length {raw.size}, data has n = {data.n}")
     alloc = relabel_compact(raw)
-    params = _build_params(args, data)
+    params = _build_params(args, data.b, data.values.mean(axis=0))
     value = icl_exact(data, alloc, params)
     print(f"data_term = {value.data_term:.17g}")
     print(f"prior_term = {value.prior_term:.17g}")

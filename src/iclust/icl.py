@@ -40,7 +40,8 @@ spare empty row, scored through the same batch as every existing group. The
 one move kernel, best_moves, scores a stack of blocks against one state in
 a single evaluation and flags, row by row, a posterior scale that is not
 positive definite instead of raising, so a caller can tell which block
-failed.
+failed. Its MoveBatch is the only move record: apply_move writes one row's
+post-move statistics straight into the state and raises on a flagged row.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .model import (
     HyperParams,
     MvHyperParams,
     NumericalError,
+    as_integers,
     stats_downdate,  # unused here; perfbench/worker.py wraps this attribute
     validate_hyperparams,
 )
@@ -206,11 +208,7 @@ def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size == 0:
         raise ValueError("counts must be a non-empty vector")
-    if not np.issubdtype(counts.dtype, np.integer):
-        as_int = counts.astype(np.int64)
-        if not np.array_equal(as_int, counts):
-            raise ValueError("group counts must be integers")
-        counts = as_int
+    counts = as_integers(counts, "group counts")
     if np.any(counts <= 0):
         raise ValueError("group counts must all be positive (compact allocation)")
     if int(counts.sum()) != n:
@@ -295,40 +293,20 @@ def refresh_state(state: ClusterState) -> None:
 
 
 @dataclass
-class MoveProposal:
-    """Best reallocation of a same-group block, with the delta of every target.
-
-    deltas[t - 1] is the exact ICL change of moving the block to group t, for
-    t in 1..K + 1. Target K + 1 is the spare empty row, that is a fresh group;
-    its delta is -inf when no fresh group is offered. Staying put scores
-    exactly zero. target is the first maximiser, so the fresh group wins only
-    a strict improvement; target == source means staying put, which
-    apply_move ignores. The post-move statistics and evidence of the source
-    and target rows ride along so an accepted move never recomputes.
-    """
-
-    block: np.ndarray
-    source: int
-    target: int
-    delta: float
-    deltas: np.ndarray
-    src_stats: GroupStats
-    src_ev: float
-    tgt_stats: GroupStats
-    tgt_ev: float
-
-
-@dataclass
 class MoveBatch:
     """Best move of each of B same-group blocks, all scored against one state.
 
-    Row j holds what a MoveProposal holds for blocks[j], as arrays:
-    deltas[j, t - 1] is the exact ICL change of moving the block to group t,
-    targets[j] the first maximiser and gains[j] its delta, and the post-move
-    count, mean, scatter and evidence of every target row and of the source
-    ride along. failed[j]
-    marks a row whose stacked evaluation met a posterior scale that is not
-    positive definite; the rest of that row is meaningless.
+    deltas[j, t - 1] is the exact ICL change of moving blocks[j] to group t,
+    for t in 1..K + 1. Target K + 1 is the spare empty row, that is a fresh
+    group; its delta is -inf when no fresh group is offered. Staying put
+    scores exactly zero. targets[j] is the first maximiser and gains[j] its
+    delta, so the fresh group wins only a strict improvement. counts, means,
+    scatters and evidence stack the post-move rows, B x (K + 2) leading:
+    column t - 1 is row t with the block merged in, and the last column is
+    the source after removal, so apply_move copies an accepted row into the
+    state without recomputing. failed[j] marks a row whose stacked
+    evaluation met a posterior scale that is not positive definite; the
+    rest of that row is meaningless.
     """
 
     blocks: Sequence
@@ -337,30 +315,10 @@ class MoveBatch:
     gains: np.ndarray
     deltas: np.ndarray
     failed: np.ndarray
-    n_after: np.ndarray
-    means_after: np.ndarray
-    scatters_after: np.ndarray
-    ev_after: np.ndarray
-    src_n: np.ndarray
-    src_means: np.ndarray
-    src_scatters: np.ndarray
-    src_ev: np.ndarray
-
-    def proposal(self, j: int) -> MoveProposal:
-        """Row j as a MoveProposal; a failed row raises NumericalError."""
-        if self.failed[j]:
-            raise NumericalError(_NOT_PD)
-        t = int(self.targets[j]) - 1
-        return MoveProposal(
-            block=np.asarray(self.blocks[j], dtype=np.int64).ravel(),
-            source=int(self.sources[j]), target=t + 1, delta=float(self.deltas[j, t]),
-            deltas=self.deltas[j],
-            src_stats=GroupStats(int(self.src_n[j]), self.src_means[j], self.src_scatters[j]),
-            src_ev=float(self.src_ev[j]),
-            tgt_stats=GroupStats(int(self.n_after[j, t]), self.means_after[j, t],
-                                 self.scatters_after[j, t]),
-            tgt_ev=float(self.ev_after[j, t]),
-        )
+    counts: np.ndarray
+    means: np.ndarray
+    scatters: np.ndarray
+    evidence: np.ndarray
 
 
 def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) -> MoveBatch:
@@ -417,30 +375,26 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
     src_means[empties] = 0.0
     src_scats[n_rest <= 1] = 0.0
 
-    # one stacked evidence evaluation: per block, rows 0..K hold the block
-    # merged into every row, the spare empty row included (which reproduces
-    # the block's own statistics), and row K + 1 the source after removal;
-    # the source-target row is garbage and gets overwritten with the exact zero
+    # one stacked evidence evaluation: per block, columns 0..K hold the block
+    # merged into every state row, the spare empty row included (which
+    # reproduces the block's own statistics), and column K + 1 the source
+    # after removal; the source's own column is garbage, its delta the exact zero
     ns_stack = np.empty((nb, k + 2), dtype=np.int64)
     means_stack = np.empty((nb, k + 2, b))
     scat_stack = np.empty((nb, k + 2, b, b))
     n_after = np.add(counts, sizes[:, None], out=ns_stack[:, :k + 1])
     dv = b_means[:, None, :] - state.means
-    means_after = np.add(state.means, dv * (sizes[:, None] / n_after)[:, :, None],
-                         out=means_stack[:, :k + 1])
+    np.add(state.means, dv * (sizes[:, None] / n_after)[:, :, None], out=means_stack[:, :k + 1])
     weight = counts * sizes[:, None] / n_after
-    scat_after = np.add(
-        state.scatters + b_scats[:, None],
-        dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None],
-        out=scat_stack[:, :k + 1],
-    )
+    np.add(state.scatters + b_scats[:, None],
+           dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None],
+           out=scat_stack[:, :k + 1])
     ns_stack[:, k + 1] = n_rest
     means_stack[:, k + 1] = src_means
     scat_stack[:, k + 1] = src_scats
     ev_stack, bad = _batch_evidence(ns_stack.reshape(-1), means_stack.reshape(-1, b),
                                     scat_stack.reshape(-1, b, b), params, state.count_terms)
     ev_stack = ev_stack.reshape(nb, k + 2)
-    ev_after = ev_stack[:, :k + 1]
     src_ev = ev_stack[:, k + 1]
 
     lgp = state.count_terms[3]
@@ -460,7 +414,7 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
     shift_fill = lg((k + 1) * alpha) - lg(k * alpha) - lg((k + 1) * alpha + n) + lg(k * alpha + n)
     dprior[~empties, k] += shift_fill
     deltas = ((src_ev - state.group_evidence[s])[:, None]
-              + (ev_after - state.group_evidence) + dprior)
+              + (ev_stack[:, :k + 1] - state.group_evidence) + dprior)
     deltas[rows, s] = 0.0
     # a whole group moving to the spare row only relabels: exactly zero, so
     # it never beats staying put
@@ -471,52 +425,52 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
     t = deltas.argmax(axis=1)            # first maximiser, smallest label
     return MoveBatch(
         blocks=blocks, sources=sources, targets=t + 1, gains=deltas[rows, t], deltas=deltas,
-        failed=bad.reshape(nb, k + 2).any(axis=1), n_after=n_after, means_after=means_after,
-        scatters_after=scat_after, ev_after=ev_after, src_n=n_rest, src_means=src_means,
-        src_scatters=src_scats, src_ev=src_ev,
+        failed=bad.reshape(nb, k + 2).any(axis=1), counts=ns_stack, means=means_stack,
+        scatters=scat_stack, evidence=ev_stack,
     )
 
 
-def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveProposal:
-    """best_moves for one non-empty block, as a MoveProposal.
+def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveBatch:
+    """best_moves for one non-empty block, checked.
 
     A block whose members span several groups raises ValueError, and a
     posterior scale that is not positive definite raises NumericalError.
     """
-    return best_moves(state, [np.asarray(block, dtype=np.int64).ravel()], allow_new).proposal(0)
+    moves = best_moves(state, [np.asarray(block, dtype=np.int64).ravel()], allow_new)
+    if moves.failed[0]:
+        raise NumericalError(_NOT_PD)
+    return moves
 
 
-def apply_move(state: ClusterState, prop: MoveProposal) -> None:
-    """Apply an accepted proposal to the state, updating all cached terms.
+def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
+    """Write row j of a MoveBatch into the state, updating all cached terms.
 
-    A filled spare row gets a new empty row after it; an emptied source row
-    is dropped and every higher label shifts down by one.
+    A failed row raises NumericalError and leaves the state untouched; a row
+    whose target is its source changes nothing. A filled spare row gets a
+    new empty row after it; an emptied source row is dropped and every
+    higher label shifts down by one.
     """
-    if prop.target == prop.source:
+    if moves.failed[j]:
+        raise NumericalError(_NOT_PD)
+    source, target = int(moves.sources[j]), int(moves.targets[j])
+    if target == source:
         return
-    s, t = prop.source - 1, prop.target - 1
-    state.labels[prop.block] = prop.target
-    state.counts[t] = prop.tgt_stats.n
-    state.means[t] = prop.tgt_stats.mean
-    state.scatters[t] = prop.tgt_stats.scatter
-    state.group_evidence[t] = prop.tgt_ev
-    state.counts[s] = prop.src_stats.n
-    state.means[s] = prop.src_stats.mean
-    state.scatters[s] = prop.src_stats.scatter
-    state.group_evidence[s] = prop.src_ev
-    if t == state.k:
-        b = state.data.b
-        state.counts = np.append(state.counts, 0)
-        state.means = np.concatenate([state.means, np.zeros((1, b))])
-        state.scatters = np.concatenate([state.scatters, np.zeros((1, b, b))])
-        state.group_evidence = np.append(state.group_evidence, 0.0)
-    if prop.src_stats.n == 0:
-        state.counts = np.delete(state.counts, s)
-        state.means = np.delete(state.means, s, axis=0)
-        state.scatters = np.delete(state.scatters, s, axis=0)
-        state.group_evidence = np.delete(state.group_evidence, s)
-        state.labels[state.labels > prop.source] -= 1
-    state.icl += prop.delta
+    s, t = source - 1, target - 1
+    fill, empty = t == state.k, moves.counts[j, -1] == 0
+    state.labels[moves.blocks[j]] = target
+    for name, stack in (("counts", moves.counts), ("means", moves.means),
+                        ("scatters", moves.scatters), ("group_evidence", moves.evidence)):
+        rows = getattr(state, name)
+        rows[t] = stack[j, t]
+        rows[s] = stack[j, -1]
+        if fill:
+            rows = np.concatenate([rows, np.zeros_like(rows[:1])])
+        if empty:
+            rows = np.delete(rows, s, axis=0)
+        setattr(state, name, rows)
+    if empty:
+        state.labels[state.labels > source] -= 1
+    state.icl += float(moves.gains[j])
     state.accepted_moves += 1
     if state.accepted_moves % ClusterState.refresh_interval == 0:
         refresh_state(state)

@@ -32,6 +32,17 @@ def _require_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
 
+def as_integers(values, what: str) -> np.ndarray:
+    """values as an integer array, or ValueError("<what> must be integers")."""
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        as_int = arr.astype(np.int64)
+        if not np.array_equal(as_int, arr):
+            raise ValueError(f"{what} must be integers")
+        arr = as_int
+    return arr
+
+
 @dataclass(frozen=True)
 class DataSet:
     """n observations in b dimensions, the fixed clustering input."""
@@ -66,12 +77,7 @@ class Allocation:
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-d vector")
-        if not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
-            if not np.array_equal(as_int, labels):
-                raise ValueError("labels must be integers")
-            labels = as_int
-        labels = labels.astype(np.int64, copy=True)
+        labels = as_integers(labels, "labels").astype(np.int64, copy=True)
         if int(labels.min()) < 1:
             raise ValueError("labels must be >= 1")
         k = int(labels.max())

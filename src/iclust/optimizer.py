@@ -39,7 +39,8 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not inside the first search
 
 from . import icl as icl_mod
-from .model import Allocation, DataSet, HyperParams, NumericalError, validate_hyperparams
+from .model import (Allocation, DataSet, HyperParams, NumericalError, _require_positive,
+                    as_integers, validate_hyperparams)
 from .io import distance_matrix, neighbor_order  # perfbench/worker.py wraps distance_matrix
 
 logger = logging.getLogger(__name__)
@@ -70,8 +71,8 @@ class SearchConfig:
             raise ValueError("max_sweeps must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not self.beta1 > 0 or not self.beta2 > 0:
-            raise ValueError("beta1 and beta2 must be positive")
+        _require_positive(self.beta1, "beta1")
+        _require_positive(self.beta2, "beta2")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 
@@ -97,11 +98,7 @@ def relabel_compact(z) -> Allocation:
     arr = np.asarray(z)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("labels must be a non-empty 1-d vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_int = arr.astype(np.int64)
-        if not np.array_equal(as_int, arr):
-            raise ValueError("labels must be integers")
-        arr = as_int
+    arr = as_integers(arr, "labels")
     uniq, first = np.unique(arr, return_index=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty(uniq.size, dtype=np.int64)
@@ -166,14 +163,13 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
                 run = min(2 * run, RUN_MAX)
                 continue
             j = int(stops[0])
-            # raises NumericalError on a failed row, where one visit at a time would
-            prop = moves.proposal(j)
             if order is not None and j + 1 < batch.size:
                 # the draws past visit j were made under labels this move changes
                 block_rng.bit_generator.state = saved
                 for i in batch[:j + 1]:
                     draw(i)
-            icl_mod.apply_move(state, prop)
+            # raises NumericalError on a failed row, where one visit at a time would
+            icl_mod.apply_move(state, moves, j)
             pos += j + 1
             run = 1
         trace.append((sweep, state.icl))

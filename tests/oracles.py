@@ -31,7 +31,7 @@ def icl_delta(state, block, target: int) -> float:
         return 0.0
     if not 1 <= target <= state.k + 1:
         raise ValueError(f"target must be in 1..{state.k + 1}, got {target}")
-    return float(best_move(state, block).deltas[target - 1])
+    return float(best_move(state, block).deltas[0, target - 1])
 
 
 def mvt_logpdf(x, loc, scale, df):

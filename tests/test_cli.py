@@ -329,3 +329,13 @@ def test_every_restart_failing_exits_3(capsys, monkeypatch, cluster_csv):
     assert err.startswith("numerical error:")
     assert "every restart" in err
     assert "ICL_ex" not in stdout
+
+
+@pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_beta_exits_1(capsys, cluster_csv, flag, value):
+    # Beta(0.1, inf) draws 0, which would silently run unit blocks
+    code, _, err = run(capsys, ["cluster", "--data", str(cluster_csv), "--seed", "1",
+                                "--restarts", "1", flag, value])
+    assert code == 1
+    assert f"{flag[2:]} must be strictly positive" in err

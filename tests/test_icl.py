@@ -338,10 +338,10 @@ class TestIclDelta:
             members = np.flatnonzero(state.labels == g)
             m = int(rng.integers(1, members.size + 1))
             block = rng.choice(members, size=m, replace=False)
-            prop = best_move(state, block)
+            moves = best_move(state, block)
             deltas = [icl_delta(state, block, t) for t in range(1, state.k + 2)]
-            assert prop.delta == max(deltas)
-            assert prop.deltas.size == state.k + 1
+            assert moves.gains[0] == max(deltas)
+            assert moves.deltas.shape == (1, state.k + 1)
 
     def test_apply_move_tracks_delta_and_cache(self, mv_params):
         rng = np.random.default_rng(4)
@@ -349,12 +349,12 @@ class TestIclDelta:
         state = make_state(data, relabel_compact(rng.integers(1, 4, size=25)), mv_params)
         for _ in range(60):
             i = int(rng.integers(25))
-            prop = best_move(state, np.array([i]))
-            if prop.target == prop.source:
+            moves = best_move(state, np.array([i]))
+            if moves.targets[0] == moves.sources[0]:
                 continue
             before = state.icl
-            apply_move(state, prop)
-            assert state.icl == pytest.approx(before + prop.delta, abs=0.0)
+            apply_move(state, moves)
+            assert state.icl == pytest.approx(before + moves.gains[0], abs=0.0)
             exact = icl_exact(data, state.labels, mv_params).total
             assert state.icl == pytest.approx(exact, abs=1e-8)
 
@@ -368,9 +368,9 @@ class TestIclDelta:
         applied = 0
         for _ in range(120):
             i = int(rng.integers(30))
-            prop = best_move(state, np.array([i]))
-            if prop.target != prop.source:
-                apply_move(state, prop)
+            moves = best_move(state, np.array([i]))
+            if moves.targets[0] != moves.sources[0]:
+                apply_move(state, moves)
                 applied += 1
         assert state.accepted_moves == applied
         exact = icl_exact(data, state.labels, mv_params).total
@@ -397,15 +397,18 @@ class TestIclDelta:
             assert d == pytest.approx(after - before, abs=1e-8)
 
 
-def _same_proposal(a, b):
-    return (a.block.tolist() == b.block.tolist() and (a.source, a.target) == (b.source, b.target)
-            and a.delta.hex() == b.delta.hex() and a.deltas.tobytes() == b.deltas.tobytes()
-            and a.src_ev.hex() == b.src_ev.hex() and a.tgt_ev.hex() == b.tgt_ev.hex()
-            and (a.src_stats.n, a.tgt_stats.n) == (b.src_stats.n, b.tgt_stats.n)
-            and a.src_stats.mean.tobytes() == b.src_stats.mean.tobytes()
-            and a.src_stats.scatter.tobytes() == b.src_stats.scatter.tobytes()
-            and a.tgt_stats.mean.tobytes() == b.tgt_stats.mean.tobytes()
-            and a.tgt_stats.scatter.tobytes() == b.tgt_stats.scatter.tobytes())
+def _same_row(batch, j, single):
+    """Row j of a MoveBatch is bit for bit the one row of a one-block batch."""
+    return (np.asarray(batch.blocks[j]).tolist() == np.asarray(single.blocks[0]).tolist()
+            and all(getattr(batch, f)[j].tobytes() == getattr(single, f)[0].tobytes()
+                    for f in ("sources", "targets", "gains", "deltas", "failed",
+                              "counts", "means", "scatters", "evidence")))
+
+
+def _state_bytes(state):
+    return (state.labels.tobytes(), state.counts.tobytes(), state.means.tobytes(),
+            state.scatters.tobytes(), state.group_evidence.tobytes(), state.icl.hex(),
+            state.accepted_moves)
 
 
 class TestMoveBatch:
@@ -428,10 +431,49 @@ class TestMoveBatch:
             moves = best_moves(state, blocks, allow_new)
             assert not moves.failed.any()
             for j, block in enumerate(blocks):
-                assert _same_proposal(moves.proposal(j), best_move(state, block, allow_new))
-            prop = moves.proposal(0)
-            if prop.target != prop.source:
-                apply_move(state, prop)
+                assert _same_row(moves, j, best_move(state, block, allow_new))
+            apply_move(state, moves)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_applying_row_j_matches_its_one_block_batch(self, b):
+        # clusters at 0, +10 and -10: the -10 points sit in group 1 and open a
+        # fresh group, group 2 moves whole into group 3, and row 0 stays put
+        rng = np.random.default_rng(50 + b)
+        x = np.vstack([rng.standard_normal((8, b)), rng.standard_normal((4, b)) + 10.0,
+                       rng.standard_normal((3, b)) - 10.0])
+        data = DataSet(x)
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(b), nu=b + 0.5, omega=1.0)
+        labels = np.array([1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1])
+        blocks = [np.array([0]), np.array([12, 13, 14]), np.array([8, 9]), np.array([10])]
+        moves = best_moves(make_state(data, labels, params), blocks)
+        kinds = set()
+        for j, block in enumerate(blocks):
+            batched = make_state(data, labels, params)
+            apply_move(batched, moves, j)
+            single = make_state(data, labels, params)
+            apply_move(single, best_move(single, block))
+            assert _state_bytes(batched) == _state_bytes(single)
+            if j > 0 and moves.targets[j] == 4:  # K + 1, the spare row
+                kinds.add("fresh")
+            if j > 0 and moves.counts[j, -1] == 0 and moves.targets[j] != moves.sources[j]:
+                kinds.add("emptied")
+        assert kinds == {"fresh", "emptied"}
+
+    def test_failed_row_raises_and_leaves_state_untouched(self):
+        # the construction of test_failed_row_flags_only_its_own_block
+        from iclust import NumericalError
+
+        rng = np.random.default_rng(7)
+        data = DataSet(rng.standard_normal((18, 3)) * 3.0)
+        params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(3), nu=4.0, omega=1.0)
+        state = make_state(data, np.repeat([1, 2, 3], 6), params)
+        state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(3)
+        moves = best_moves(state, [np.array([6]), np.array([0])])
+        assert moves.failed.tolist() == [False, True]
+        before = _state_bytes(state)
+        with pytest.raises(NumericalError, match="positive definite"):
+            apply_move(state, moves, 1)
+        assert _state_bytes(state) == before
 
     def test_mixed_block_raises(self, small_data, mv_params):
         state = make_state(small_data, np.array([1, 2] * 6), mv_params)
@@ -460,12 +502,10 @@ class TestMoveBatch:
         for j, block in enumerate(blocks):
             if moves.failed[j]:
                 with pytest.raises(NumericalError, match="positive definite"):
-                    moves.proposal(j)
-                with pytest.raises(NumericalError, match="positive definite"):
                     best_move(state, block)
             else:
                 assert np.isfinite(moves.deltas[j]).all()
-                assert _same_proposal(moves.proposal(j), best_move(state, block))
+                assert _same_row(moves, j, best_move(state, block))
 
 
 class TestCountTables:
@@ -523,8 +563,8 @@ class TestCountTables:
             after = np.append(counts, 0)
             after[s] -= m
             after[t] += m
-            evidence = ((moves.src_ev[0] - state.group_evidence[s])
-                        + (moves.ev_after[0, t] - state.group_evidence[t]))
+            evidence = ((moves.evidence[0, -1] - state.group_evidence[s])
+                        + (moves.evidence[0, t] - state.group_evidence[t]))
             prior = allocation_log_prior(after[after > 0], params.alpha, data.n) - before
             assert moves.deltas[0, t] - evidence == pytest.approx(prior, abs=1e-12)
             checked += 1
@@ -587,9 +627,9 @@ class TestMoveKernelProperties:
             deltas.append(icl_delta(state, block, target))
             assert deltas[-1] == pytest.approx(after - before, abs=1e-8)
 
-        prop = best_move(state, block, allow_new=case["allow_new"])
+        moves = best_move(state, block, allow_new=case["allow_new"])
         offered = deltas if case["allow_new"] else deltas[:-1] + [-math.inf]
         first = int(np.argmax(offered))  # first maximiser, the fresh group last
-        assert prop.delta == offered[first]
-        assert prop.target == first + 1
-        assert prop.deltas.tolist() == offered
+        assert moves.gains[0] == offered[first]
+        assert moves.targets[0] == first + 1
+        assert moves.deltas[0].tolist() == offered

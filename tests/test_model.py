@@ -149,7 +149,8 @@ class TestGroupStats:
 
     def test_merge_matches_pooled_two_pass(self, rng, mv_params):
         # best_move merges the block into every group at once; the winning
-        # target's merged statistics must match a two-pass recomputation
+        # target's column of merged statistics must match a two-pass
+        # recomputation
         from iclust.icl import best_move
 
         pa = rng.standard_normal((5, 2))
@@ -158,12 +159,12 @@ class TestGroupStats:
         labels = np.array([1] * 5 + [2] * 9)
         labels[5] = 1  # a member of the far cluster sits in group 1
         state = make_state(data, labels, mv_params)
-        prop = best_move(state, np.array([5]), allow_new=False)
-        assert (prop.source, prop.target) == (1, 2)
+        moves = best_move(state, np.array([5]), allow_new=False)
+        assert (moves.sources[0], moves.targets[0]) == (1, 2)
         ref = GroupStats.from_points(data.values[5:])
-        assert prop.tgt_stats.n == ref.n
-        assert np.max(np.abs(prop.tgt_stats.mean - ref.mean)) < 1e-12
-        assert np.max(np.abs(prop.tgt_stats.scatter - ref.scatter)) < 1e-10
+        assert moves.counts[0, 1] == ref.n
+        assert np.max(np.abs(moves.means[0, 1] - ref.mean)) < 1e-12
+        assert np.max(np.abs(moves.scatters[0, 1] - ref.scatter)) < 1e-10
 
 
 def test_cluster_state_consistency(small_data, mv_params, rng):
@@ -179,12 +180,12 @@ def test_cluster_state_consistency(small_data, mv_params, rng):
     fresh = deleted = 0
     for _ in range(80):
         i = int(rng.integers(data.n))
-        prop = best_move(state, neighbor_block(i, state.labels, order, 0.5, 0.5, rng))
-        if prop.target != prop.source:
+        moves = best_move(state, neighbor_block(i, state.labels, order, 0.5, 0.5, rng))
+        if moves.targets[0] != moves.sources[0]:
             k = state.k
-            apply_move(state, prop)
-            fresh += prop.target == k + 1
-            deleted += prop.src_stats.n == 0
+            apply_move(state, moves)
+            fresh += moves.targets[0] == k + 1
+            deleted += moves.counts[0, -1] == 0
             # the last row is the spare empty row and the labels stay 1..K
             assert state.counts[-1] == 0 and state.group_evidence[-1] == 0.0
             assert np.all(state.means[-1] == 0.0) and np.all(state.scatters[-1] == 0.0)

@@ -452,6 +452,24 @@ class TestSeededOutputs:
         assert "".join(map(str, sol.allocation.labels)) == labels
         assert sol.icl == pytest.approx(icl, abs=1e-9)
 
+    COMBINED_B3 = ("12222113213223224121212214212112411421424222124212122111424231134422222422"
+                   "2431211212111112222112212122422222141134144222")
+
+    def test_combined_b3(self):
+        # b = 3 takes the stacked Cholesky branch of the kernel
+        data = sample_dataset(120, 4, MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(3),
+                                                    nu=4.0, omega=0.5),
+                              np.random.default_rng(3)).data
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0), nu=4.0,
+                               omega=0.5)
+        config = SearchConfig(max_sweeps=3, restarts=3, beta1=0.2, beta2=0.04, seed=7)
+        sol = multi_start(data, params, config, algorithm="combined")
+        assert sol.K == 4
+        assert "".join(map(str, sol.allocation.labels)) == self.COMBINED_B3
+        assert sol.icl == pytest.approx(-578.097466915077, abs=1e-9)
+        assert sol.restart_bests == pytest.approx(
+            (-651.4447260949387, -578.097466915077, -594.8781651736322), abs=1e-9)
+
     def test_univariate_galaxy(self, galaxy_standardized):
         params = UvHyperParams(alpha=0.5, tau=0.01, mu=0.0, gamma=1.0, delta=0.1)
         sol = multi_start(galaxy_standardized, params,
@@ -469,6 +487,11 @@ class TestSearchConfig:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="beta"):
             SearchConfig(beta1=0.0)
+        # Beta(0.1, inf) draws 0 and Beta(inf, 0.01) fails inside numpy
+        for field in ("beta1", "beta2"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=field):
+                    SearchConfig(**{field: value})
         with pytest.raises(ValueError, match="k_max"):
             SearchConfig(k_max=0)
 
