@@ -32,7 +32,6 @@ from .optimizer import (
     greedy_combined_icl,
     greedy_icl,
     multi_start,
-    neighbor_block,
     relabel_compact,
 )
 from .generator import GeneratedSample, sample_dataset
@@ -70,7 +69,6 @@ __all__ = [
     "icl_exact",
     "make_state",
     "multi_start",
-    "neighbor_block",
     "neighbor_order",
     "read_csv",
     "read_result",

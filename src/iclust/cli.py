@@ -231,6 +231,8 @@ def cmd_generate(args) -> int:
 
 # grid fields in nesting order, leftmost varies slowest
 _GRID_FIELDS = ("tau", "omega", "delta", "alpha", "nu", "beta1", "beta2")
+# a valid value of each grid field; None takes the family default
+_STAND_INS = dict(tau=1.0, omega=None, delta=None, alpha=1.0, nu=None, beta1=1.0, beta2=1.0)
 
 
 def _grid_rows(args, b: int):
@@ -245,7 +247,7 @@ def _grid_rows(args, b: int):
             grids[name] = values
     varied = [name for name in _GRID_FIELDS if name in grids]
     if not varied:
-        return [], []
+        raise ValueError("no grid flags given; nothing to sweep")
     rows = [dict(zip(varied, combo)) for combo in itertools.product(*(grids[v] for v in varied))]
     return varied, rows
 
@@ -253,11 +255,10 @@ def _grid_rows(args, b: int):
 def cmd_sweep(args) -> int:
     data = _load_data(args)
     varied, rows = _grid_rows(args, data.b)
-    if not rows:
-        raise ValueError("no grid flags given; nothing to sweep")
-    # a bad --mu or a wrong-family flag fails the whole sweep, not each grid point
-    _parse_mu(args.mu, data.b, None)
-    _family_values(args, data.b)
+    # a bad flag that no grid overrides fails here, before the order is built
+    stand_ins = {name: _STAND_INS[name] for name in varied}
+    _build_params(args, data.b, data.values.mean(axis=0), overrides=stand_ins)
+    _search_config(args, overrides=stand_ins)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
     results = []
@@ -314,18 +315,10 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (_UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

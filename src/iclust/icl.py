@@ -37,11 +37,10 @@ a block of same-group observations is computed by re-evaluating only the
 source group, the target group and the allocation prior, which is what makes
 greedy search over allocations cheap. A fresh group is the search state's
 spare empty row, scored through the same batch as every existing group. The
-one move kernel, best_moves, scores a stack of blocks against one state in
-a single evaluation and flags, row by row, a posterior scale that is not
-positive definite instead of raising, so a caller can tell which block
-failed. Its MoveBatch is the only move record: apply_move writes one row's
-post-move statistics straight into the state and raises on a flagged row.
+one move kernel, best_moves, sums its blocks over the b-major data and scores
+them in one evaluation, flagging each row whose posterior scale is not
+positive definite. Its MoveBatch is the only move record: apply_move writes
+one row into the state and raises on a flagged row.
 """
 
 from __future__ import annotations
@@ -296,20 +295,18 @@ def refresh_state(state: ClusterState) -> None:
 class MoveBatch:
     """Best move of each of B same-group blocks, all scored against one state.
 
-    deltas[j, t - 1] is the exact ICL change of moving blocks[j] to group t,
-    for t in 1..K + 1. Target K + 1 is the spare empty row, that is a fresh
-    group; its delta is -inf when no fresh group is offered. Staying put
-    scores exactly zero. targets[j] is the first maximiser and gains[j] its
-    delta, so the fresh group wins only a strict improvement. counts, means,
-    scatters and evidence stack the post-move rows, B x (K + 2) leading:
-    column t - 1 is row t with the block merged in, and the last column is
-    the source after removal, so apply_move copies an accepted row into the
-    state without recomputing. failed[j] marks a row whose stacked
-    evaluation met a posterior scale that is not positive definite; the
-    rest of that row is meaningless.
+    Block j is members[bounds[j]:bounds[j + 1]]; deltas[j, t - 1] is the
+    exact ICL change of moving it to group t, for t in 1..K + 1. Target K + 1
+    is the spare empty row, a fresh group, with delta -inf when not offered.
+    Staying put scores exactly zero. targets[j] is the first maximiser and
+    gains[j] its delta. counts, means, scatters and evidence stack the
+    post-move rows, B x (K + 2) leading: column t - 1 is row t with the block
+    merged in, the last column the source after removal. failed[j] marks a
+    row with a posterior scale that is not positive definite; it is void.
     """
 
-    blocks: Sequence
+    members: np.ndarray
+    bounds: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
     gains: np.ndarray
@@ -321,46 +318,55 @@ class MoveBatch:
     evidence: np.ndarray
 
 
-def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) -> MoveBatch:
+def _block_stats(state: ClusterState, members, sizes, starts):
+    """Means (B, b) and scatters (B, b, b) of the blocks concatenated in members.
+
+    np.add.reduceat sums the rows, then the centred rows' outer products, of the
+    b-major data, where each block is contiguous. That matches from_points to
+    rounding, and a one-row block exactly: adding 0.0 turns -0.0 into 0.0.
+    """
+    cols = state.columns[:, members]
+    means = (np.add.reduceat(cols, starts, axis=1) / sizes).T + 0.0
+    centred = cols - np.repeat(means.T, sizes, axis=1)
+    scatters = np.add.reduceat(centred[:, None] * centred, starts, axis=2) + 0.0
+    return means, scatters.transpose(2, 0, 1)
+
+
+def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> MoveBatch:
     """Evaluate every candidate target for each of B non-empty blocks.
 
-    Each block must lie in one group; different blocks may come from
-    different groups. Candidates are all current groups (staying put scores
-    exactly zero) plus the spare empty row, a fresh group, when allow_new is
-    set. Ties go to the smallest group label, so the fresh group comes last.
-    All B (K + 2) rows go through one stacked evidence evaluation, each with
-    the expressions a single block would get, so row j is bit for bit what
-    best_move(state, blocks[j], allow_new) computes.
+    Block j is the next sizes[j] entries of members and lies in one group.
+    Candidates are all current groups (staying put scores exactly zero) plus
+    the spare empty row, a fresh group, when allow_new is set. Ties go to the
+    smallest label, so the fresh group comes last. All B (K + 2) rows go
+    through one stacked evidence evaluation, each with the expressions a
+    single block would get, so row j is bit for bit best_move's for block j.
     """
     params = state.params
-    values = state.data.values
     alpha = params.alpha
     n = state.data.n
     b = state.data.b
     k = state.k
     counts = state.counts
-    sizes_l = [len(block) for block in blocks]
-    nb = len(sizes_l)
-    sizes = np.array(sizes_l)
-    flat = np.concatenate(blocks)
-    unit = flat.size == nb
-    firsts = flat if unit else flat[np.cumsum(sizes) - sizes]
-    sources = state.labels[firsts]
-    if not unit and (state.labels[flat] != np.repeat(sources, sizes)).any():
+    members = np.asarray(members, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    nb = sizes.size
+    unit = members.size == nb
+    bounds = np.arange(nb + 1) if unit else np.concatenate(([0], np.cumsum(sizes)))
+    starts = bounds[:-1]
+    sources = state.labels[members[starts]]
+    if not unit and (state.labels[members] != np.repeat(sources, sizes)).any():
         raise ValueError("block members belong to different groups")
     rows = np.arange(nb)
     s = sources - 1
 
-    # block statistics; a one-row block's mean is GroupStats.from_points's
-    # add.reduce of that row, which turns -0.0 into 0.0 as adding 0.0 does
-    b_means = values[firsts] + 0.0
-    b_scats = np.zeros((nb, b, b))
-    if not unit:
-        for j, m in enumerate(sizes_l):
-            if m > 1:
-                st = GroupStats.from_points(values[blocks[j]])
-                b_means[j] = st.mean
-                b_scats[j] = st.scatter
+    # block statistics; unit blocks skip the segmented sums, and either way a
+    # one-row block's mean is its row with -0.0 turned into 0.0
+    if unit:
+        b_means = state.data.values[members] + 0.0
+        b_scats = np.zeros((nb, b, b))
+    else:
+        b_means, b_scats = _block_stats(state, members, sizes, starts)
 
     # the source after removal, by stats_downdate's expressions; an emptied
     # source is all zeros and a one-member source has a zero scatter
@@ -424,9 +430,9 @@ def best_moves(state: ClusterState, blocks: Sequence, allow_new: bool = True) ->
 
     t = deltas.argmax(axis=1)            # first maximiser, smallest label
     return MoveBatch(
-        blocks=blocks, sources=sources, targets=t + 1, gains=deltas[rows, t], deltas=deltas,
-        failed=bad.reshape(nb, k + 2).any(axis=1), counts=ns_stack, means=means_stack,
-        scatters=scat_stack, evidence=ev_stack,
+        members=members, bounds=bounds, sources=sources, targets=t + 1, gains=deltas[rows, t],
+        deltas=deltas, failed=bad.reshape(nb, k + 2).any(axis=1), counts=ns_stack,
+        means=means_stack, scatters=scat_stack, evidence=ev_stack,
     )
 
 
@@ -436,7 +442,8 @@ def best_move(state: ClusterState, block, allow_new: bool = True) -> MoveBatch:
     A block whose members span several groups raises ValueError, and a
     posterior scale that is not positive definite raises NumericalError.
     """
-    moves = best_moves(state, [np.asarray(block, dtype=np.int64).ravel()], allow_new)
+    block = np.asarray(block, dtype=np.intp).ravel()
+    moves = best_moves(state, block, [block.size], allow_new)
     if moves.failed[0]:
         raise NumericalError(_NOT_PD)
     return moves
@@ -457,7 +464,7 @@ def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
         return
     s, t = source - 1, target - 1
     fill, empty = t == state.k, moves.counts[j, -1] == 0
-    state.labels[moves.blocks[j]] = target
+    state.labels[moves.members[moves.bounds[j]:moves.bounds[j + 1]]] = target
     for name, stack in (("counts", moves.counts), ("means", moves.means),
                         ("scatters", moves.scatters), ("group_evidence", moves.evidence)):
         rows = getattr(state, name)

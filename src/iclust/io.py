@@ -104,7 +104,7 @@ def distance_matrix(data: DataSet, metric: str = "euclidean") -> np.ndarray:
 
 
 def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
-    """Row i lists every observation by increasing (distance to i, index).
+    """Row i lists i first, then every other observation by (distance to i, index).
 
     Rows are built 64 at a time from distance_matrix's expression, so only
     the n x n index array is held. Rows with a tied distance are re-sorted
@@ -113,6 +113,7 @@ def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     order = np.empty((data.n, data.n), dtype=np.intp)
     for lo in range(0, data.n, 64):
         d = _distances(data.values[lo:lo + 64], data.values, metric)
+        np.fill_diagonal(d[:, lo:], -1.0)  # ahead of a duplicate with a smaller index
         idx = np.argsort(d, axis=1)
         ranked = np.take_along_axis(d, idx, axis=1)
         for r in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):

@@ -278,6 +278,7 @@ class ClusterState:
     def __init__(self, data, params, count_terms, labels, counts, means, scatters,
                  group_evidence, icl):
         self.data = data
+        self.columns = np.ascontiguousarray(data.values.T)  # (b, n), for best_moves' block sums
         self.params = params
         self.count_terms = count_terms  # icl._count_terms(params, 2 n), read-only
         self.labels = labels            # (n,) int64, values 1..K

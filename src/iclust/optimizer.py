@@ -7,8 +7,8 @@ variant moves single observations and stops once a sweep gains no more
 than EPSILON. The combined variant instead proposes a whole
 nearest-neighbour block from the visited observation's group, with the
 block size drawn from a Beta-Binomial, which lets the search escape local
-optima that single-observation moves cannot leave. Blocks are read off one
-neighbour order per dataset (io.neighbor_order), shared by every restart.
+optima that single-observation moves cannot leave. One batched picker,
+neighbor_blocks, reads blocks off one neighbour order per dataset.
 
 The loop scores a run of upcoming visits in one best_moves call, every block
 against the same state, and applies the first accepted move of the run. Most
@@ -17,12 +17,12 @@ every row up to the first accepted one is exactly what scoring one visit at a
 time would have computed. The rows after it were scored against a state that
 the move changes, so they are dropped and the loop resumes at the next
 visit. A combined run draws its blocks under the current labels; after an
-acceptance the block stream is rewound and the draws up to the accepted visit
-are replayed, so the stream ends where the one-at-a-time loop leaves it. A
-row whose evidence failed raises NumericalError only when no accepted row
-comes before it. The run starts at one visit, doubles after a run without an
-acceptance up to RUN_MAX and starts over after one, so seeded output is the
-same for any run length.
+acceptance the block stream is rewound and the size draws up to the accepted
+visit are made again, so the stream ends where the one-at-a-time loop leaves
+it. A row whose evidence failed raises NumericalError only when no accepted
+row comes before it. The run starts at one visit, doubles after a run without
+an acceptance up to RUN_MAX and starts over after one, so seeded output is
+the same for any run length.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored with icl_exact, and the best
@@ -106,23 +106,26 @@ def relabel_compact(z) -> Allocation:
     return Allocation(rank[np.searchsorted(uniq, arr)])
 
 
-def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
-                   beta1: float, beta2: float, rng) -> np.ndarray:
-    """Nearest-neighbour block of observation i inside its own group.
+def _block_sizes(groups, beta1: float, beta2: float, rng) -> list:
+    """max(r, 1), r ~ Binomial(m, eta), eta ~ Beta(beta1, beta2), for each group size m in turn."""
+    return [max(int(rng.binomial(m, rng.beta(beta1, beta2))), 1) for m in groups]
 
-    Members are ranked by order[i] = neighbor_order(data)[i], i itself first.
-    The block is the first max(r, 1) of them with r ~ Binomial(group size,
-    eta) and eta ~ Beta(beta1, beta2), so it always contains i and is a
-    prefix of the ranked member list.
+
+def neighbor_blocks(state, batch: np.ndarray, order: np.ndarray,
+                    beta1: float, beta2: float, rng):
+    """Nearest-neighbour blocks of the visits in batch, each inside its own group.
+
+    Visit i's block is the first _block_sizes of its group in order[i] =
+    neighbor_order(data)[i], i first. One gather of order[batch] and its group
+    mask serves every block. Returns them concatenated, and their sizes.
     """
-    ranked = order[i]
-    same = ranked[labels[ranked] == labels[i]]
-    if same[0] != i:
-        # a duplicate of i with a smaller index ranks ahead of it
-        same = np.concatenate(([i], same[same != i]))
-    eta = rng.beta(beta1, beta2)
-    r = int(rng.binomial(same.size, eta))
-    return same[: max(r, 1)]
+    groups = state.counts[state.labels[batch] - 1]
+    sizes = np.array(_block_sizes(groups.tolist(), beta1, beta2, rng), dtype=np.int64)
+    ranked = order[batch]
+    # row by row the m group members, nearest first; a row keeps its first size
+    hits = np.flatnonzero(state.labels[ranked] == state.labels[batch][:, None])
+    skip = np.repeat(np.cumsum(groups - sizes) - (groups - sizes), sizes)
+    return ranked.ravel()[hits[np.arange(skip.size) + skip]], sizes
 
 
 def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
@@ -131,17 +134,13 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
 
     Each sweep visits every observation once in random order and applies the
     best move of its block when that move changes the group and gains more
-    than EPSILON. Blocks come from neighbor_block when an order is given.
+    than EPSILON. Blocks come from neighbor_blocks when an order is given.
     Visits are scored in runs, as the module docstring describes.
     """
     state = icl_mod.make_state(data, init, params)
     # separate streams so the visit order draws do not depend on whether
     # block sizes are being sampled; unit blocks leave the second unused
     order_rng, block_rng = rng.spawn(2)
-
-    def draw(i):
-        return neighbor_block(i, state.labels, order, config.beta1, config.beta2, block_rng)
-
     trace = [(0, state.icl)]
     run = 1
     for sweep in range(1, config.max_sweeps + 1):
@@ -151,11 +150,12 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
         while pos < data.n:
             batch = visits[pos:pos + run]
             if order is None:
-                blocks = batch[:, None]
+                members, sizes = batch, np.ones(batch.size, dtype=np.int64)
             else:
                 saved = block_rng.bit_generator.state
-                blocks = [draw(i) for i in batch]
-            moves = icl_mod.best_moves(state, blocks, allow_new=state.k < config.k_max)
+                members, sizes = neighbor_blocks(state, batch, order, config.beta1,
+                                                 config.beta2, block_rng)
+            moves = icl_mod.best_moves(state, members, sizes, allow_new=state.k < config.k_max)
             # staying put scores exactly zero, so a gain above EPSILON moves
             stops = np.flatnonzero(moves.failed | (moves.gains > EPSILON))
             if stops.size == 0:
@@ -166,8 +166,8 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
             if order is not None and j + 1 < batch.size:
                 # the draws past visit j were made under labels this move changes
                 block_rng.bit_generator.state = saved
-                for i in batch[:j + 1]:
-                    draw(i)
+                _block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(),
+                             config.beta1, config.beta2, block_rng)
             # raises NumericalError on a failed row, where one visit at a time would
             icl_mod.apply_move(state, moves, j)
             pos += j + 1

@@ -5,6 +5,8 @@ predictive densities, posterior parameter updates, numerical integration,
 exhaustive partition enumeration) and never calls back into the code paths
 it is checking. The one exception is icl_delta, a per-target reading of the
 move kernel for the tests that check its deltas against icl_exact.
+neighbor_block is the one-visit block picker that the search's batched
+neighbor_blocks must reproduce, draws included.
 """
 
 from __future__ import annotations
@@ -32,6 +34,22 @@ def icl_delta(state, block, target: int) -> float:
     if not 1 <= target <= state.k + 1:
         raise ValueError(f"target must be in 1..{state.k + 1}, got {target}")
     return float(best_move(state, block).deltas[0, target - 1])
+
+
+def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
+                   beta1: float, beta2: float, rng) -> np.ndarray:
+    """Nearest-neighbour block of observation i inside its own group.
+
+    Members are ranked by order[i] = neighbor_order(data)[i], i itself first.
+    The block is the first max(r, 1) of them with r ~ Binomial(group size,
+    eta) and eta ~ Beta(beta1, beta2), so it always contains i and is a
+    prefix of the ranked member list.
+    """
+    ranked = order[i]
+    same = ranked[labels[ranked] == labels[i]]
+    eta = rng.beta(beta1, beta2)
+    r = int(rng.binomial(same.size, eta))
+    return same[: max(r, 1)]
 
 
 def mvt_logpdf(x, loc, scale, df):

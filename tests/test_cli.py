@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from iclust import cli
 from iclust.cli import main
 from iclust.io import read_csv, read_result, write_csv
 
@@ -216,6 +217,41 @@ class TestSweepCommand:
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         assert len(lines) == 3
         assert "failed" in lines[2]
+
+    def test_sweep_whose_every_grid_point_fails_reports_each_row(self, capsys, tmp_path,
+                                                                  cluster_csv):
+        out = tmp_path / "sweep.csv"
+        code, stdout, _ = run(capsys, [
+            "sweep", "--data", str(cluster_csv), "--tau-grid", "-1", "--restarts", "1",
+            "--sweeps", "2", "--out", str(out),
+        ])
+        assert code == 0
+        lines = [ln for ln in stdout.splitlines() if ln.strip()]
+        assert len(lines) == 2 and "failed: tau" in lines[1]
+        assert out.read_text().splitlines()[1].startswith("-1.0,,,tau")
+
+    @pytest.mark.parametrize("flag,value,name", [("--beta1", "inf", "beta1"),
+                                                 ("--alpha", "-1", "alpha")])
+    def test_bad_scalar_flag_fails_the_sweep(self, capsys, monkeypatch, cluster_csv, flag,
+                                             value, name):
+        # no grid overrides the flag, so it fails before the order is built
+        monkeypatch.setattr(cli, "neighbor_order", None)
+        code, stdout, err = run(capsys, [
+            "sweep", "--data", str(cluster_csv), "--seed", "4", "--tau-grid", "0.1,0.01",
+            "--restarts", "1", "--sweeps", "2", flag, value,
+        ])
+        assert code == 1
+        assert err.startswith("error:") and f"{name} must be strictly positive" in err
+        assert "failed" not in stdout
+
+    def test_scalar_flag_overridden_by_every_row_is_not_judged(self, capsys, cluster_csv):
+        code, stdout, _ = run(capsys, [
+            "sweep", "--data", str(cluster_csv), "--seed", "4", "--alpha", "-1",
+            "--alpha-grid", "0.5,-2", "--restarts", "1", "--sweeps", "2",
+        ])
+        assert code == 0
+        lines = [ln for ln in stdout.splitlines() if ln.strip()]
+        assert "failed" not in lines[1] and "failed: alpha" in lines[2]
 
     def test_delta_grid_rejected_for_multivariate(self, capsys, cluster_csv):
         code, _, err = run(capsys, [

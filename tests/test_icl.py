@@ -17,7 +17,8 @@ from iclust import (
     make_state,
     relabel_compact,
 )
-from iclust.icl import _count_terms, apply_move, best_move, best_moves
+from iclust.icl import _block_stats, _count_terms, apply_move, best_move, best_moves
+from iclust.model import stats_downdate
 
 from oracles import (
     enumerate_label_vectors,
@@ -397,9 +398,18 @@ class TestIclDelta:
             assert d == pytest.approx(after - before, abs=1e-8)
 
 
+def _stacked(state, blocks, allow_new=True):
+    """best_moves over a list of blocks."""
+    return best_moves(state, np.concatenate(blocks), [len(block) for block in blocks], allow_new)
+
+
+def _block(moves, j):
+    return moves.members[moves.bounds[j]:moves.bounds[j + 1]]
+
+
 def _same_row(batch, j, single):
     """Row j of a MoveBatch is bit for bit the one row of a one-block batch."""
-    return (np.asarray(batch.blocks[j]).tolist() == np.asarray(single.blocks[0]).tolist()
+    return (_block(batch, j).tolist() == _block(single, 0).tolist()
             and all(getattr(batch, f)[j].tobytes() == getattr(single, f)[0].tobytes()
                     for f in ("sources", "targets", "gains", "deltas", "failed",
                               "counts", "means", "scatters", "evidence")))
@@ -428,7 +438,7 @@ class TestMoveBatch:
                 blocks.append(rng.choice(members, size=int(rng.integers(1, members.size + 1)),
                                          replace=False))
             allow_new = bool(rng.integers(2))
-            moves = best_moves(state, blocks, allow_new)
+            moves = _stacked(state, blocks, allow_new)
             assert not moves.failed.any()
             for j, block in enumerate(blocks):
                 assert _same_row(moves, j, best_move(state, block, allow_new))
@@ -445,7 +455,7 @@ class TestMoveBatch:
         params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(b), nu=b + 0.5, omega=1.0)
         labels = np.array([1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1])
         blocks = [np.array([0]), np.array([12, 13, 14]), np.array([8, 9]), np.array([10])]
-        moves = best_moves(make_state(data, labels, params), blocks)
+        moves = _stacked(make_state(data, labels, params), blocks)
         kinds = set()
         for j, block in enumerate(blocks):
             batched = make_state(data, labels, params)
@@ -468,7 +478,7 @@ class TestMoveBatch:
         params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(3), nu=4.0, omega=1.0)
         state = make_state(data, np.repeat([1, 2, 3], 6), params)
         state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(3)
-        moves = best_moves(state, [np.array([6]), np.array([0])])
+        moves = _stacked(state, [np.array([6]), np.array([0])])
         assert moves.failed.tolist() == [False, True]
         before = _state_bytes(state)
         with pytest.raises(NumericalError, match="positive definite"):
@@ -478,7 +488,7 @@ class TestMoveBatch:
     def test_mixed_block_raises(self, small_data, mv_params):
         state = make_state(small_data, np.array([1, 2] * 6), mv_params)
         with pytest.raises(ValueError, match="different groups"):
-            best_moves(state, [np.array([0]), np.array([0, 1])])
+            _stacked(state, [np.array([0]), np.array([0, 1])])
         with pytest.raises(ValueError, match="different groups"):
             best_move(state, np.array([2, 3]))
 
@@ -497,7 +507,7 @@ class TestMoveBatch:
         state = make_state(data, np.repeat([1, 2, 3], 6), params)
         state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(b)
         blocks = [np.array([i]) for i in (0, 6, 1, 12, 7)]
-        moves = best_moves(state, blocks)
+        moves = _stacked(state, blocks)
         assert moves.failed.tolist() == [True, False, True, False, False]
         for j, block in enumerate(blocks):
             if moves.failed[j]:
@@ -506,6 +516,65 @@ class TestMoveBatch:
             else:
                 assert np.isfinite(moves.deltas[j]).all()
                 assert _same_row(moves, j, best_move(state, block))
+
+
+class TestBlockStatistics:
+    """best_moves' segmented block sums against two-pass statistics."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_merged_and_source_rows_match_two_pass_oracles(self, b):
+        rng = np.random.default_rng(60 + b)
+        data = DataSet(rng.standard_normal((40, b)) * 2.0 + 1.0)
+        params = MvHyperParams(alpha=1.5, tau=0.1, mu=np.full(b, 0.3), nu=b + 0.5, omega=0.7)
+        state = make_state(data, relabel_compact(rng.integers(1, 5, size=40)), params)
+        # per group one row, a partial block and the whole group, shuffled
+        # into one call
+        blocks = []
+        for g in range(1, state.k + 1):
+            members = rng.permutation(np.flatnonzero(state.labels == g))
+            blocks += [members[:1], members[:max(members.size // 2, 1)], members]
+        blocks = [blocks[j] for j in rng.permutation(len(blocks))]
+        moves = _stacked(state, blocks)
+        values, k = data.values, state.k
+
+        def close(got, ref):
+            np.testing.assert_allclose(got.n, ref.n, rtol=0, atol=0)
+            np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(got.scatter, ref.scatter, rtol=1e-12, atol=1e-12)
+
+        for j, block in enumerate(blocks):
+            s = int(moves.sources[j])
+            part = GroupStats.from_points(values[block])
+            for t in range(1, k + 2):
+                if t != s:
+                    merged = GroupStats.from_points(
+                        np.vstack([values[state.labels == t], values[block]]))
+                    close(GroupStats(moves.counts[j, t - 1], moves.means[j, t - 1],
+                                     moves.scatters[j, t - 1]), merged)
+            source = GroupStats.from_points(values[state.labels == s])
+            after = GroupStats(moves.counts[j, -1], moves.means[j, -1], moves.scatters[j, -1])
+            close(after, stats_downdate(source, part))
+            rest = np.setdiff1d(np.flatnonzero(state.labels == s), block)
+            close(after, GroupStats.from_points(values[rest]))
+            assert _same_row(moves, j, best_move(state, block))
+
+    def test_one_row_block_mean_turns_negative_zero_into_zero(self):
+        x = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0], [0.5, 0.25]])
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
+        state = make_state(DataSet(x), np.array([1, 1, 1, 2]), params)
+        members, sizes = np.array([1, 0, 1, 2, 3]), np.array([1, 2, 1, 1])
+        means, scatters = _block_stats(state, members, sizes, np.array([0, 1, 3, 4]))
+        for j, block in enumerate(([1], [0, 1], [2], [3])):
+            ref = GroupStats.from_points(x[block])
+            # from_points's mean has no -0.0, the column of two -0.0 included
+            assert means[j].tobytes() == ref.mean.tobytes()
+            assert not np.signbit(means[j]).any()
+            if len(block) == 1:
+                assert scatters[j].tobytes() == np.zeros((2, 2)).tobytes()
+        # the one-row blocks of a mixed call are the unit call's rows
+        moves = best_moves(state, members, sizes)
+        for j in (0, 2, 3):
+            assert _same_row(moves, j, best_move(state, _block(moves, j)))
 
 
 class TestCountTables:
@@ -552,7 +621,7 @@ class TestCountTables:
         data = DataSet(rng.standard_normal((10, 2)))
         params = MvHyperParams(alpha=0.7, tau=0.1, mu=np.zeros(2), nu=3.5, omega=1.0)
         state = make_state(data, np.array(labels), params)
-        moves = best_moves(state, [np.array(block)], allow_new=True)
+        moves = best_move(state, np.array(block), allow_new=True)
         k, s, m = state.k, int(moves.sources[0]) - 1, len(block)
         counts = state.counts[:k]
         before = allocation_log_prior(counts, params.alpha, data.n)

@@ -134,7 +134,10 @@ class TestNeighborOrder:
         idx = np.arange(data.n)
         assert order.shape == (data.n, data.n) and order.dtype == np.intp
         for i in range(data.n):
-            assert np.array_equal(order[i], np.lexsort((idx, dist[i])))
+            # i first, even ahead of a duplicate of it with a smaller index
+            key = dist[i].copy()
+            key[i] = -1.0
+            assert np.array_equal(order[i], np.lexsort((idx, key)))
 
     def test_peak_memory_below_two_index_arrays(self):
         # the n x n index array is 8 n^2 bytes; a dense distance matrix with

@@ -168,7 +168,8 @@ class TestGroupStats:
 
 
 def test_cluster_state_consistency(small_data, mv_params, rng):
-    from iclust import neighbor_block, neighbor_order
+    from iclust import neighbor_order
+    from oracles import neighbor_block
     from iclust.icl import apply_move, best_move
 
     # two clusters four apart, so nearest-neighbour blocks both open a fresh

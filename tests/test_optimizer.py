@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iclust.icl as icl_mod
 import iclust.optimizer as opt
@@ -17,13 +19,12 @@ from iclust import (
     icl_exact,
     make_state,
     multi_start,
-    neighbor_block,
     relabel_compact,
     sample_dataset,
 )
 from iclust.io import distance_matrix, neighbor_order
 
-from oracles import brute_force_max_icl, icl_delta
+from oracles import brute_force_max_icl, icl_delta, neighbor_block
 
 
 def two_cluster_data(n_per=5, sep=100.0, seed=0):
@@ -106,6 +107,56 @@ class TestNeighborBlock:
             assert len(neighbor_block(i, state.labels, order, 0.5, 0.5, rng)) == max(r, 1)
 
 
+@st.composite
+def picker_cases(draw):
+    # a small integer grid makes duplicates and tied distances common, and
+    # few labels make whole-group and partial blocks of several members
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 14))
+    cells = draw(st.lists(st.integers(-1, 1), min_size=n * b, max_size=n * b))
+    k = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    visits = draw(st.permutations(range(n)))
+    run = draw(st.integers(1, n))
+    return dict(x=np.array(cells, dtype=float).reshape(n, b), labels=labels,
+                batch=np.array(visits[:run], dtype=np.int64),
+                betas=draw(st.sampled_from([(0.1, 0.01), (0.5, 0.5), (2.0, 2.0), (1e-9, 1e6)])),
+                seed=draw(st.integers(0, 2**32 - 1)), replay=draw(st.integers(0, run - 1)))
+
+
+class TestNeighborBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(case=picker_cases())
+    def test_batched_picker_matches_one_visit_oracle(self, case):
+        data = DataSet(case["x"])
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
+                               omega=1.0)
+        state = make_state(data, relabel_compact(case["labels"]), params)
+        order, dist = neighbor_order(data), distance_matrix(data)
+        batch, (beta1, beta2) = case["batch"], case["betas"]
+        rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
+        saved = rng.bit_generator.state
+        members, sizes = opt.neighbor_blocks(state, batch, order, beta1, beta2, rng)
+        expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin) for i in batch]
+        assert sizes.tolist() == [len(block) for block in expected]
+        assert members.tolist() == np.concatenate(expected).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for i, block in zip(batch, np.split(members, np.cumsum(sizes)[:-1])):
+            # i first, then a prefix of its group ranked by (distance, index)
+            others = sorted((j for j in np.flatnonzero(state.labels == state.labels[i]) if j != i),
+                            key=lambda j: (dist[i, j], j))
+            assert block.tolist() == [i] + others[:len(block) - 1]
+        # after an accepted visit j the loop rewinds and redraws the sizes up
+        # to j, which must leave the stream where one visit at a time does
+        j = case["replay"]
+        rng.bit_generator.state = saved
+        opt._block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(), beta1, beta2, rng)
+        twin = np.random.default_rng(case["seed"])
+        for i in batch[:j + 1]:
+            neighbor_block(i, state.labels, order, beta1, beta2, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestGreedyIcl:
     def test_two_far_clusters_reach_brute_force_max(self):
         data = two_cluster_data()
@@ -145,8 +196,8 @@ class TestGreedyIcl:
         counts = []
         real_best_moves = icl_mod.best_moves
 
-        def counting_best_moves(state, blocks, allow_new=True):
-            moves = real_best_moves(state, blocks, allow_new)
+        def counting_best_moves(state, members, sizes, allow_new=True):
+            moves = real_best_moves(state, members, sizes, allow_new)
             expected = state.k + (1 if allow_new else 0)
             for row in moves.deltas:
                 counts.append((int(np.isfinite(row).sum()), expected, state.k))
@@ -170,11 +221,11 @@ class TestGreedyIcl:
         seen_k = []
         real_best_moves = icl_mod.best_moves
 
-        def spy(state, blocks, allow_new=True):
+        def spy(state, members, sizes, allow_new=True):
             seen_k.append(state.k)
             if state.k >= 2:
                 assert not allow_new
-            return real_best_moves(state, blocks, allow_new)
+            return real_best_moves(state, members, sizes, allow_new)
 
         monkeypatch.setattr(icl_mod, "best_moves", spy)
         config = SearchConfig(max_sweeps=5, restarts=2, k_max=2, seed=3)
@@ -225,12 +276,12 @@ class TestRunScoring:
         real_best_moves = icl_mod.best_moves
         flagged = []
 
-        def flag_after_acceptance(state, blocks, allow_new=True):
-            moves = real_best_moves(state, blocks, allow_new)
+        def flag_after_acceptance(state, members, sizes, allow_new=True):
+            moves = real_best_moves(state, members, sizes, allow_new)
             accepted = np.flatnonzero(moves.gains > opt.EPSILON)
-            if accepted.size and accepted[0] + 1 < len(blocks):
+            if accepted.size and accepted[0] + 1 < len(sizes):
                 moves.failed[accepted[0] + 1:] = True
-                flagged.append(len(blocks) - accepted[0] - 1)
+                flagged.append(len(sizes) - accepted[0] - 1)
             return moves
 
         monkeypatch.setattr(icl_mod, "best_moves", flag_after_acceptance)
@@ -249,10 +300,10 @@ class TestRunScoring:
         real_best_moves = icl_mod.best_moves
         calls = []
 
-        def flag_second_row(state, blocks, allow_new=True):
-            moves = real_best_moves(state, blocks, allow_new)
-            calls.append(len(blocks))
-            if len(blocks) > 1 and not moves.gains[0] > opt.EPSILON:
+        def flag_second_row(state, members, sizes, allow_new=True):
+            moves = real_best_moves(state, members, sizes, allow_new)
+            calls.append(len(sizes))
+            if len(sizes) > 1 and not moves.gains[0] > opt.EPSILON:
                 moves.failed[1] = True
             return moves
 
