@@ -36,8 +36,11 @@ This module also provides exact move deltas: the ICL change from reallocating
 a block of same-group observations is computed by re-evaluating only the
 source group, the target group and the allocation prior, which is what makes
 greedy search over allocations cheap. A fresh group is the search state's
-spare empty row, scored through the same batch as every existing group. The
-one move kernel, best_moves, sums its blocks over the b-major data and scores
+spare empty row, scored through the same batch as every existing group. A
+state keeps its data as b-major columns of x - mu, so every mean it holds is
+d itself. refresh_state is the one build of a state's statistics from its
+labels, behind make_state, icl_exact and each restart's final rescoring. The
+one move kernel, best_moves, sums its blocks over the same columns and scores
 them in one evaluation, flagging each row whose posterior scale is not
 positive definite. Its MoveBatch is the only move record: apply_move writes
 one row into the state and raises on a flagged row.
@@ -150,24 +153,24 @@ def _tables(b: int, alpha: float, tau: float, nu: float, log_det_scale: float, n
 def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
     """Group log evidence for stacked groups; ns (K,) int, means (K,b), scatters (K,b,b).
 
-    Returns the evidences and a mask of the rows whose posterior scale is not
-    positive definite, whose evidence is NaN. terms = _count_terms(params,
-    n_max) with n_max >= every count. Rows with a zero count come out exactly
-    zero. At b = 1 the posterior scale is a scalar per row and skips the
-    matrix shapes.
+    The means are relative to mu, as a ClusterState holds them. Returns the
+    evidences and a mask of the rows whose posterior scale is not positive
+    definite, whose evidence is NaN. terms = _count_terms(params, n_max) with
+    n_max >= every count. Rows with a zero count come out exactly zero. At
+    b = 1 the posterior scale is a scalar per row and skips the matrix shapes.
     """
     coef_t, base_t, slope_t, _ = terms
     coef = coef_t[ns]
     if params.b == 1:
-        d = means[:, 0] - params.mu[0]
+        d = means[:, 0]
         post = scatters[:, 0, 0] + params.scale_matrix()[0, 0] + d * d * coef
         bad = post <= 0.0
         if bad.any():
             post[bad] = math.nan
         logdet = np.log(post)
     else:
-        d = means - params.mu
-        post = scatters + params.scale_matrix() + d[:, :, None] * d[:, None, :] * coef[:, None, None]
+        post = (scatters + params.scale_matrix()
+                + means[:, :, None] * means[:, None, :] * coef[:, None, None])
         logdet, bad = _batch_logdet_spd(post, params.b)
     return base_t[ns] - slope_t[ns] * logdet, bad
 
@@ -181,7 +184,7 @@ def _checked_evidence(ns, means, scatters, params: MvHyperParams, terms) -> np.n
 
 
 def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
-    """Log marginal likelihood contribution of one group.
+    """Log marginal likelihood contribution of one group, in data coordinates.
 
     Zero for an empty group. A univariate prior is scored as its 1x1
     Normal-Wishart. A posterior scale matrix that is not positive definite
@@ -192,8 +195,8 @@ def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
         return 0.0
     return float(
         _checked_evidence(
-            np.array([stats.n]), stats.mean[None, :], stats.scatter[None, :, :], params,
-            _count_terms(params, stats.n),
+            np.array([stats.n]), stats.mean[None, :] - params.mu, stats.scatter[None, :, :],
+            params, _count_terms(params, stats.n),
         )[0]
     )
 
@@ -226,45 +229,20 @@ def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
 
 
 def icl_exact(data: DataSet, z, params: HyperParams) -> IclValue:
-    """Exact ICL of an allocation, computed from scratch.
+    """Exact ICL of an allocation, computed from scratch by make_state.
 
-    The data term sums per-group evidences in ascending label order with an
-    exact (order independent) float accumulator, so label permutations leave
-    the value bit-identical.
+    Each group's statistics are summed over its members in index order and
+    the data term sums the evidences with an exact (order independent) float
+    accumulator, so label permutations leave the value bit-identical.
     """
-    alloc = z if isinstance(z, Allocation) else Allocation(np.asarray(z))
-    if len(alloc) != data.n:
-        raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
-    params = validate_hyperparams(params, data.b)
-    # 2n, as make_state asks, so a search's final rescoring reuses its tables
-    _, _, _, evidence, prior_term, total = _build_arrays(
-        data, alloc.labels, params, _count_terms(params, 2 * data.n)
-    )
-    return IclValue(total=total, data_term=math.fsum(evidence.tolist()), prior_term=prior_term)
+    state = make_state(data, z, params)
+    return IclValue(total=state.icl, data_term=math.fsum(state.group_evidence.tolist()),
+                    prior_term=allocation_log_prior(state.counts[:-1], state.params.alpha, data.n))
 
 
 # ---------------------------------------------------------------------------
 # Search state construction and exact move deltas
 # ---------------------------------------------------------------------------
-
-def _build_arrays(data: DataSet, labels: np.ndarray, params: MvHyperParams, terms):
-    # rows 1..K are the groups and row K + 1 is the spare empty row, whose
-    # zero count gives an evidence of exactly zero, so fsum is unchanged
-    k = int(labels.max())
-    b = data.b
-    counts = np.zeros(k + 1, dtype=np.int64)
-    means = np.zeros((k + 1, b))
-    scatters = np.zeros((k + 1, b, b))
-    for g in range(1, k + 1):
-        st = GroupStats.from_points(data.values[labels == g])
-        counts[g - 1] = st.n
-        means[g - 1] = st.mean
-        scatters[g - 1] = st.scatter
-    evidence = _checked_evidence(counts, means, scatters, params, terms)
-    prior = allocation_log_prior(counts[:k], params.alpha, data.n)
-    icl = math.fsum(evidence.tolist()) + prior
-    return counts, means, scatters, evidence, prior, icl
-
 
 def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
     """Build a ClusterState with all cached statistics from scratch."""
@@ -272,23 +250,32 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
-    labels = alloc.labels.copy()
     # best_moves' garbage source-target row has up to 2n members
-    terms = _count_terms(params, 2 * data.n)
-    counts, means, scatters, evidence, _, icl = _build_arrays(data, labels, params, terms)
-    return ClusterState(data, params, terms, labels, counts, means, scatters, evidence, icl)
+    state = ClusterState(data, params, _count_terms(params, 2 * data.n), alloc.labels.copy())
+    refresh_state(state)
+    return state
 
 
 def refresh_state(state: ClusterState) -> None:
-    """Recompute every cached statistic of the state from its labels."""
-    counts, means, scatters, evidence, _, icl = _build_arrays(
-        state.data, state.labels, state.params, state.count_terms
-    )
-    state.counts = counts
-    state.means = means
-    state.scatters = scatters
+    """Compute every cached statistic of the state from its labels.
+
+    The groups are _block_stats blocks of their members in index order. Row
+    K + 1 is the spare empty row, whose zero count gives an evidence of
+    exactly zero, so the fsum of the evidences is the data term.
+    """
+    labels, params = state.labels, state.params
+    k = int(labels.max())
+    counts = np.bincount(labels, minlength=k + 2)[1:]
+    sizes = counts[:k]
+    means = np.zeros((k + 1, state.data.b))
+    scatters = np.zeros((k + 1, state.data.b, state.data.b))
+    means[:k], scatters[:k] = _block_stats(state.columns, np.argsort(labels, kind="stable"),
+                                           sizes, np.cumsum(sizes) - sizes)
+    evidence = _checked_evidence(counts, means, scatters, params, state.count_terms)
+    state.counts, state.means, state.scatters = counts, means, scatters
     state.group_evidence = evidence
-    state.icl = icl
+    state.icl = (math.fsum(evidence.tolist())
+                 + allocation_log_prior(sizes, params.alpha, state.data.n))
 
 
 @dataclass
@@ -300,9 +287,10 @@ class MoveBatch:
     is the spare empty row, a fresh group, with delta -inf when not offered.
     Staying put scores exactly zero. targets[j] is the first maximiser and
     gains[j] its delta. counts, means, scatters and evidence stack the
-    post-move rows, B x (K + 2) leading: column t - 1 is row t with the block
-    merged in, the last column the source after removal. failed[j] marks a
-    row with a posterior scale that is not positive definite; it is void.
+    post-move rows, relative to mu as in the state, B x (K + 2) leading:
+    column t - 1 is row t with the block merged in, the last column the
+    source after removal. failed[j] marks a row with a posterior scale that
+    is not positive definite; it is void.
     """
 
     members: np.ndarray
@@ -318,17 +306,17 @@ class MoveBatch:
     evidence: np.ndarray
 
 
-def _block_stats(state: ClusterState, members, sizes, starts):
+def _block_stats(columns, members, sizes, starts):
     """Means (B, b) and scatters (B, b, b) of the blocks concatenated in members.
 
-    np.add.reduceat sums the rows, then the centred rows' outer products, of the
-    b-major data, where each block is contiguous. That matches from_points to
-    rounding, and a one-row block exactly: adding 0.0 turns -0.0 into 0.0.
+    columns is a state's b-major data. np.add.reduceat sums the rows, then the
+    centred rows' outer products, where each block is contiguous. That
+    matches from_points to rounding, and a one-row block exactly.
     """
-    cols = state.columns[:, members]
-    means = (np.add.reduceat(cols, starts, axis=1) / sizes).T + 0.0
+    cols = columns[:, members]
+    means = (np.add.reduceat(cols, starts, axis=1) / sizes).T
     centred = cols - np.repeat(means.T, sizes, axis=1)
-    scatters = np.add.reduceat(centred[:, None] * centred, starts, axis=2) + 0.0
+    scatters = np.add.reduceat(centred[:, None] * centred, starts, axis=2)
     return means, scatters.transpose(2, 0, 1)
 
 
@@ -361,12 +349,12 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     s = sources - 1
 
     # block statistics; unit blocks skip the segmented sums, and either way a
-    # one-row block's mean is its row with -0.0 turned into 0.0
+    # one-row block's mean is its column
     if unit:
-        b_means = state.data.values[members] + 0.0
+        b_means = state.columns[:, members].T
         b_scats = np.zeros((nb, b, b))
     else:
-        b_means, b_scats = _block_stats(state, members, sizes, starts)
+        b_means, b_scats = _block_stats(state.columns, members, sizes, starts)
 
     # the source after removal, by stats_downdate's expressions; an emptied
     # source is all zeros and a one-member source has a zero scatter
@@ -478,6 +466,3 @@ def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
     if empty:
         state.labels[state.labels > source] -= 1
     state.icl += float(moves.gains[j])
-    state.accepted_moves += 1
-    if state.accepted_moves % ClusterState.refresh_interval == 0:
-        refresh_state(state)

@@ -13,10 +13,12 @@ from .model import DataSet, MvHyperParams, UvHyperParams
 def read_csv(path) -> DataSet:
     """Parse a numeric CSV into a DataSet, rows as observations.
 
-    Accepts headerless files or a single header row, UTF-8, comma delimiter,
-    '.' decimal separator. Reports the offending line and column on bad input.
+    Accepts headerless files or a single header row, UTF-8 with or without a
+    byte-order mark, comma delimiter, '.' decimal separator. Reports the
+    offending line and column on bad input.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig's decoding, without loading its codec module into a command
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"empty CSV file: {path}")

@@ -80,10 +80,16 @@ class Allocation:
         labels = as_integers(labels, "labels").astype(np.int64, copy=True)
         if int(labels.min()) < 1:
             raise ValueError("labels must be >= 1")
-        k = int(labels.max())
-        missing = np.flatnonzero(np.bincount(labels)[1:] == 0) + 1
+        k, n = int(labels.max()), labels.size
+        # K <= n when compact, so a missing label shows among 1..n and
+        # counting those alone bounds the work by n
+        low = labels <= n
+        counts = np.bincount(labels[low], minlength=n + 1)[1:]
+        missing = (np.flatnonzero(counts[:k] == 0) + 1)[:10]
         if missing.size:
-            raise ValueError(f"allocation is not compact, missing group(s) {missing.tolist()}")
+            more = k - np.count_nonzero(counts) - np.unique(labels[~low]).size - missing.size
+            raise ValueError(f"allocation is not compact, missing group(s) {missing.tolist()}"
+                             + (f" and {more} more" if more else ""))
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "K", k)
@@ -265,29 +271,27 @@ class ClusterState:
     statistics and cached evidences, so a reallocation only has to touch the
     source group, the target group and the allocation prior. The K + 1 rows
     are groups 1..K and then one spare empty row (count, mean, scatter and
-    evidence all zero) that stands for a fresh group. Construction and all
-    score-bearing mutations live in the icl module; this class is the
-    container.
-
-    A full rebuild of the cached statistics is triggered every
-    ``refresh_interval`` accepted moves to bound floating point drift.
+    evidence all zero) that stands for a fresh group. The statistics are
+    those of the data relative to the prior mean mu, which is all the
+    evidence reads, so shifting the data and mu together by an exactly
+    representable amount changes no bit. icl.refresh_state builds the caches
+    from the labels, and the score-bearing mutations live in the icl module
+    too; this class is the container.
     """
 
-    refresh_interval = 1000
-
-    def __init__(self, data, params, count_terms, labels, counts, means, scatters,
-                 group_evidence, icl):
+    def __init__(self, data, params, count_terms, labels):
         self.data = data
-        self.columns = np.ascontiguousarray(data.values.T)  # (b, n), for best_moves' block sums
         self.params = params
         self.count_terms = count_terms  # icl._count_terms(params, 2 n), read-only
         self.labels = labels            # (n,) int64, values 1..K
-        self.counts = counts            # (K + 1,) int64
-        self.means = means              # (K + 1, b)
-        self.scatters = scatters        # (K + 1, b, b)
-        self.group_evidence = group_evidence  # (K + 1,) cached per-group log evidence
-        self.icl = float(icl)
-        self.accepted_moves = 0
+        # (b, n) x - mu, b-major for the block sums; + 0.0 turns -0.0 into 0.0
+        self.columns = np.ascontiguousarray((data.values - params.mu).T) + 0.0
+        # the caches, set by icl.refresh_state
+        self.counts = None              # (K + 1,) int64
+        self.means = None               # (K + 1, b), relative to mu
+        self.scatters = None            # (K + 1, b, b)
+        self.group_evidence = None      # (K + 1,) cached per-group log evidence
+        self.icl = None
 
     @property
     def k(self) -> int:

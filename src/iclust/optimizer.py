@@ -25,8 +25,8 @@ an acceptance up to RUN_MAX and starts over after one, so seeded output is
 the same for any run length.
 
 Restarts are independent: each gets its own RNG stream and random initial
-allocation. Each final allocation is rescored with icl_exact, and the best
-exact ICL wins.
+allocation. Each final allocation is rescored from its labels by
+refresh_state, the build behind icl_exact, and the best exact ICL wins.
 """
 
 from __future__ import annotations
@@ -176,10 +176,10 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
         if order is None and state.icl - start <= EPSILON:
             break
     # report the exact objective of the final labels, not the sum of deltas
+    icl_mod.refresh_state(state)
     alloc = relabel_compact(state.labels)
-    icl = icl_mod.icl_exact(data, alloc, params).total
-    trace[-1] = (trace[-1][0], icl)
-    return Solution(allocation=alloc, K=alloc.K, icl=icl, trace=tuple(trace), restart_id=0)
+    trace[-1] = (trace[-1][0], state.icl)
+    return Solution(allocation=alloc, K=alloc.K, icl=state.icl, trace=tuple(trace), restart_id=0)
 
 
 def greedy_icl(data: DataSet, params: HyperParams, init, config: SearchConfig, rng) -> Solution:

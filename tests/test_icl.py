@@ -359,23 +359,39 @@ class TestIclDelta:
             exact = icl_exact(data, state.labels, mv_params).total
             assert state.icl == pytest.approx(exact, abs=1e-8)
 
-    def test_periodic_refresh_keeps_caches_exact(self, mv_params, monkeypatch):
-        from iclust.model import ClusterState
+    def test_caches_stay_exact_without_a_refresh_far_from_the_origin(self, monkeypatch):
+        # 1500 accepted single-row moves to random targets, fresh groups and
+        # emptied sources included, on data and mu 1e8 from the origin; the
+        # updated caches and the sum of deltas must match a fresh build, with
+        # no rebuild on the way
+        import iclust.icl as icl_mod
 
-        monkeypatch.setattr(ClusterState, "refresh_interval", 7)
         rng = np.random.default_rng(6)
-        data = DataSet(rng.standard_normal((30, 2)))
-        state = make_state(data, relabel_compact(rng.integers(1, 5, size=30)), mv_params)
+        offset = 1e8
+        data = DataSet(rng.standard_normal((30, 2)) + offset)
+        params = MvHyperParams(alpha=4.0, tau=1.0, mu=np.full(2, offset), nu=3.0, omega=1.0)
+        state = make_state(data, relabel_compact(rng.integers(1, 5, size=30)), params)
+
+        def no_refresh(state):
+            raise AssertionError("the caches were rebuilt during the moves")
+
+        monkeypatch.setattr(icl_mod, "refresh_state", no_refresh)
         applied = 0
-        for _ in range(120):
-            i = int(rng.integers(30))
-            moves = best_move(state, np.array([i]))
-            if moves.targets[0] != moves.sources[0]:
-                apply_move(state, moves)
-                applied += 1
-        assert state.accepted_moves == applied
-        exact = icl_exact(data, state.labels, mv_params).total
-        assert state.icl == pytest.approx(exact, abs=1e-8)
+        while applied < 1500:
+            moves = best_move(state, np.array([int(rng.integers(30))]))
+            target = int(rng.integers(1, state.k + 2))
+            if target == moves.sources[0]:
+                continue
+            moves.targets[0], moves.gains[0] = target, moves.deltas[0, target - 1]
+            apply_move(state, moves)
+            applied += 1
+        monkeypatch.undo()
+        fresh = make_state(data, state.labels, params)
+        assert state.counts.tolist() == fresh.counts.tolist()
+        np.testing.assert_allclose(state.means, fresh.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.scatters, fresh.scatters, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(state.group_evidence, fresh.group_evidence, rtol=0, atol=1e-11)
+        assert abs(state.icl - icl_exact(data, state.labels, params).total) < 1e-8
 
     def test_icl_delta_univariate(self, galaxy_standardized):
         params = UvHyperParams(alpha=0.5, tau=0.01, mu=0.0, gamma=1.0, delta=0.1)
@@ -417,8 +433,7 @@ def _same_row(batch, j, single):
 
 def _state_bytes(state):
     return (state.labels.tobytes(), state.counts.tobytes(), state.means.tobytes(),
-            state.scatters.tobytes(), state.group_evidence.tobytes(), state.icl.hex(),
-            state.accepted_moves)
+            state.scatters.tobytes(), state.group_evidence.tobytes(), state.icl.hex())
 
 
 class TestMoveBatch:
@@ -535,7 +550,8 @@ class TestBlockStatistics:
             blocks += [members[:1], members[:max(members.size // 2, 1)], members]
         blocks = [blocks[j] for j in rng.permutation(len(blocks))]
         moves = _stacked(state, blocks)
-        values, k = data.values, state.k
+        # the state's statistics are those of the data relative to mu
+        values, k = data.values - params.mu, state.k
 
         def close(got, ref):
             np.testing.assert_allclose(got.n, ref.n, rtol=0, atol=0)
@@ -558,12 +574,38 @@ class TestBlockStatistics:
             close(after, GroupStats.from_points(values[rest]))
             assert _same_row(moves, j, best_move(state, block))
 
+    def test_state_and_batch_means_are_relative_to_mu(self):
+        rng = np.random.default_rng(70)
+        data = DataSet(rng.standard_normal((20, 2)) + 5.0)
+        mu = np.array([3.25, -1.5])
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=mu, nu=2.5, omega=1.0)
+        state = make_state(data, relabel_compact(rng.integers(1, 4, size=20)), params)
+        labels, values = state.labels, data.values
+
+        def centred_mean(members):
+            return values[members].mean(axis=0) - mu
+
+        for g in range(1, state.k + 1):
+            np.testing.assert_allclose(state.means[g - 1], centred_mean(labels == g),
+                                       rtol=0, atol=1e-14)
+        block = np.flatnonzero(labels == 1)[:2]
+        moves = best_move(state, block)
+        for t in range(2, state.k + 2):
+            merged = np.concatenate([np.flatnonzero(labels == t), block])
+            np.testing.assert_allclose(moves.means[0, t - 1], centred_mean(merged),
+                                       rtol=0, atol=1e-14)
+        rest = np.setdiff1d(np.flatnonzero(labels == 1), block)
+        np.testing.assert_allclose(moves.means[0, -1], centred_mean(rest), rtol=0, atol=1e-14)
+        # a one-row block's mean, the unit path's, is its row minus mu
+        moves = best_move(state, np.array([3]))
+        assert moves.means[0, state.k].tobytes() == (values[3] - mu).tobytes()
+
     def test_one_row_block_mean_turns_negative_zero_into_zero(self):
         x = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0], [0.5, 0.25]])
         params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
         state = make_state(DataSet(x), np.array([1, 1, 1, 2]), params)
         members, sizes = np.array([1, 0, 1, 2, 3]), np.array([1, 2, 1, 1])
-        means, scatters = _block_stats(state, members, sizes, np.array([0, 1, 3, 4]))
+        means, scatters = _block_stats(state.columns, members, sizes, np.array([0, 1, 3, 4]))
         for j, block in enumerate(([1], [0, 1], [2], [3])):
             ref = GroupStats.from_points(x[block])
             # from_points's mean has no -0.0, the column of two -0.0 included

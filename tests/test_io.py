@@ -33,6 +33,14 @@ class TestReadCsv:
         p.write_text("x,y\n1,2\n3,4\n")
         assert read_csv(p).n == 2
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # a BOM glued to the first cell must not turn the first row into a header
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
+        assert read_csv(p).values.tolist() == [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        p.write_bytes(b"\xef\xbb\xbfx,y\n3,4\n")
+        assert read_csv(p).values.tolist() == [[3.0, 4.0]]
+
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2\n3,4,5\n")

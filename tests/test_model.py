@@ -49,8 +49,21 @@ class TestAllocation:
             Allocation(np.array([1, 3, 3]))
 
     def test_missing_groups_listed_in_ascending_order(self):
-        with pytest.raises(ValueError, match=re.escape("missing group(s) [2, 3]")):
+        with pytest.raises(ValueError, match=re.escape("missing group(s) [2, 3]")) as err:
             Allocation(np.array([1, 4, 4]))
+        assert str(err.value).endswith("[2, 3]")
+
+    def test_huge_label_gives_a_short_message(self):
+        # counting every label up to the largest would list 999,998 groups
+        with pytest.raises(ValueError, match=re.escape("missing group(s) [2] and 999997 more")) as err:
+            Allocation(np.array([1, 10**6]))
+        assert len(str(err.value)) < 100
+
+    def test_missing_groups_listing_is_capped(self):
+        labels = np.array([1] + list(range(3, 60, 2)))  # 1, 3, 5, ..., 59
+        with pytest.raises(ValueError, match=re.escape(
+                "missing group(s) [2, 4, 6, 8, 10, 12, 14, 16, 18, 20] and 19 more")):
+            Allocation(labels)
 
     def test_zero_label_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):

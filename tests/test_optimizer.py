@@ -428,8 +428,8 @@ class TestMultiStart:
         assert sol.icl == pytest.approx(icl_exact(data, sol.allocation, params).total, abs=1e-8)
 
     def test_icl_is_exact_far_from_origin(self):
-        # at a 1e8 offset the delta-accumulated score drifts by about 1e-4
-        # here; the reported value and every restart's best must be exact
+        # the delta-accumulated score may drift in its last bits at a 1e8
+        # offset; the reported value and every restart's best must be exact
         gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(2), nu=3.0, omega=0.5)
         sample = sample_dataset(150, 4, gen, np.random.default_rng(2))
         data = DataSet(sample.data.values + 1e8)
@@ -443,7 +443,7 @@ class TestMultiStart:
     @pytest.mark.parametrize("algorithm", ["plain", "combined"])
     def test_trace_ends_with_reported_icl(self, algorithm):
         # the last trace entry carries the exact rescoring, not the sum of
-        # deltas, which drifts in the last bits at a 1e8 offset
+        # deltas, which may drift in the last bits at a 1e8 offset
         gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(2), nu=3.0, omega=0.5)
         sample = sample_dataset(150, 4, gen, np.random.default_rng(2))
         data = DataSet(sample.data.values + 1e8)
@@ -473,6 +473,45 @@ class TestMultiStart:
                                nu=3.0, omega=1.0)
         with pytest.raises(ValueError, match="algorithm"):
             multi_start(data, params, SearchConfig(seed=0), algorithm="annealing")
+
+
+@st.composite
+def shifted_searches(draw):
+    # data and mu on a 2^-20 grid with |x| < 2^10 and an integer shift with
+    # |c| <= 2^20, so x + c and mu + c are exact and so is (x + c) - (mu + c)
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(-8.0, 8.0, size=(draw(st.integers(1, 4)), b))
+    x = centres[rng.integers(len(centres), size=n)] + rng.standard_normal((n, b))
+    grid = 2.0**-20
+    mu = np.array(draw(st.lists(st.integers(-2**23, 2**23), min_size=b, max_size=b))) * grid
+    return dict(x=np.round(x / grid) * grid, mu=mu, shift=float(draw(st.integers(-2**20, 2**20))),
+                uv=b == 1 and draw(st.booleans()), algorithm=draw(st.sampled_from(["plain",
+                                                                                   "combined"])),
+                seed=draw(st.integers(0, 1000)))
+
+
+class TestShiftInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(case=shifted_searches())
+    def test_shifting_data_and_mu_together_changes_nothing(self, case):
+        def search(shift):
+            data = DataSet(case["x"] + shift)
+            mu = case["mu"] + shift
+            if case["uv"]:
+                params = UvHyperParams(alpha=1.5, tau=0.1, mu=float(mu[0]), gamma=1.0, delta=0.5)
+            else:
+                params = MvHyperParams(alpha=1.5, tau=0.1, mu=mu, nu=data.b + 0.5, omega=0.5)
+            config = SearchConfig(max_sweeps=3, restarts=2, k_max=8, beta1=0.5, beta2=0.5,
+                                  seed=case["seed"])
+            return multi_start(data, params, config, algorithm=case["algorithm"])
+
+        base, moved = search(0.0), search(case["shift"])
+        assert moved.K == base.K
+        assert moved.allocation.labels.tolist() == base.allocation.labels.tolist()
+        assert moved.icl == base.icl
+        assert moved.restart_bests == base.restart_bests
 
 
 class TestSeededOutputs:
