@@ -309,15 +309,21 @@ class MoveBatch:
 def _block_stats(columns, members, sizes, starts):
     """Means (B, b) and scatters (B, b, b) of the blocks concatenated in members.
 
-    columns is a state's b-major data. np.add.reduceat sums the rows, then the
-    centred rows' outer products, where each block is contiguous. That
+    columns is a state's b-major data. np.add.reduceat sums each contiguous
+    block's rows; the gathered rows are then centred in place, and the
+    products of each column pair p <= q are summed one pair at a time into
+    [p, q] and [q, p], so the scratch stays near two b x M arrays. That
     matches from_points to rounding, and a one-row block exactly.
     """
     cols = columns[:, members]
     means = (np.add.reduceat(cols, starts, axis=1) / sizes).T
-    centred = cols - np.repeat(means.T, sizes, axis=1)
-    scatters = np.add.reduceat(centred[:, None] * centred, starts, axis=2)
-    return means, scatters.transpose(2, 0, 1)
+    cols -= np.repeat(means.T, sizes, axis=1)
+    b = cols.shape[0]
+    scatters = np.empty((sizes.size, b, b))
+    for p in range(b):
+        for q in range(p, b):
+            scatters[:, p, q] = scatters[:, q, p] = np.add.reduceat(cols[p] * cols[q], starts)
+    return means, scatters
 
 
 def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> MoveBatch:

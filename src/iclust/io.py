@@ -90,13 +90,22 @@ def standardize(data: DataSet):
 
 
 def _distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from each of `rows` to every row of x, shape (len(rows), n)."""
-    diff = rows[:, None, :] - x[None, :, :]
-    if metric == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if metric == "manhattan":
-        return np.sum(np.abs(diff), axis=-1)
-    raise ValueError(f"metric must be 'euclidean' or 'manhattan', got {metric!r}")
+    """Distances from each of `rows` to every row of x, shape (len(rows), n).
+
+    The squared (or absolute) differences are added one column at a time, in
+    column order, so only two (len(rows), n) arrays are held. For b <= 7 that
+    is the order of numpy's sum over a last axis of b terms, so the bits are
+    those of np.sqrt(np.sum(diff * diff, axis=-1)); from b = 8 numpy sums
+    pairwise and the two can differ in the last place.
+    """
+    if metric not in ("euclidean", "manhattan"):
+        raise ValueError(f"metric must be 'euclidean' or 'manhattan', got {metric!r}")
+    square = metric == "euclidean"
+    total = np.zeros((len(rows), len(x)))
+    for c in range(x.shape[1]):
+        diff = np.subtract.outer(rows[:, c], x[:, c])
+        total += np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)
+    return np.sqrt(total, out=total) if square else total
 
 
 def distance_matrix(data: DataSet, metric: str = "euclidean") -> np.ndarray:
@@ -108,7 +117,7 @@ def distance_matrix(data: DataSet, metric: str = "euclidean") -> np.ndarray:
 def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     """Row i lists i first, then every other observation by (distance to i, index).
 
-    Rows are built 64 at a time from distance_matrix's expression, so only
+    Rows are built 64 at a time from _distances, column by column, so only
     the n x n index array is held. Rows with a tied distance are re-sorted
     stably after the fast default argsort, so ties go by index.
     """

@@ -194,8 +194,13 @@ def greedy_combined_icl(data: DataSet, params: HyperParams, init, config: Search
     Runs max_sweeps full sweeps. Because the block proposals are random, a
     sweep without an accepted move is weak evidence of convergence, and later
     sweeps regularly escape configurations that an earlier sweep could not
-    improve, so there is no early break.
+    improve, so there is no early break. An order of another shape or a
+    non-integer dtype is a ValueError.
     """
+    order = np.asarray(order)
+    if order.shape != (data.n, data.n) or not np.issubdtype(order.dtype, np.integer):
+        raise ValueError(f"order must be neighbor_order(data), an integer array of shape "
+                         f"({data.n}, {data.n}); got shape {order.shape} and dtype {order.dtype}")
     return _sweeps(data, params, init, config, order, rng)
 
 

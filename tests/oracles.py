@@ -6,7 +6,9 @@ exhaustive partition enumeration) and never calls back into the code paths
 it is checking. The one exception is icl_delta, a per-target reading of the
 move kernel for the tests that check its deltas against icl_exact.
 neighbor_block is the one-visit block picker that the search's batched
-neighbor_blocks must reproduce, draws included.
+neighbor_blocks must reproduce, draws included. reference_distances holds the
+broadcast distance expressions that neighbor_order's column-wise sums must
+reproduce bit for bit up to b = 7.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
     eta = rng.beta(beta1, beta2)
     r = int(rng.binomial(same.size, eta))
     return same[: max(r, 1)]
+
+
+def reference_distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each of rows to every row of x, summed over a last axis of b."""
+    diff = rows[:, None, :] - x[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.sum(np.abs(diff), axis=-1)
 
 
 def mvt_logpdf(x, loc, scale, df):

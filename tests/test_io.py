@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iclust import Allocation, DataSet, MvHyperParams, Solution, UvHyperParams
+from iclust.icl import _block_stats
 from iclust.io import (
     distance_matrix,
     hyperparams_to_dict,
@@ -18,6 +19,8 @@ from iclust.io import (
     write_csv,
     write_result,
 )
+
+from oracles import reference_distances
 
 
 class TestReadCsv:
@@ -124,13 +127,16 @@ class TestDistanceMatrix:
 
 
 @st.composite
-def grid_points(draw):
-    # a small integer grid makes duplicate points and tied distances common
-    # n past 64 spans more than one row block of neighbor_order
-    b = draw(st.integers(1, 3))
+def grid_points(draw, max_b=10, scales=(1.0,)):
+    # a small integer grid makes duplicate points and tied distances common;
+    # n past 64 spans more than one row block of neighbor_order, and b past 7
+    # crosses numpy's 8-term boundary, where its sums turn pairwise. A scale
+    # like 0.1 rounds the grid, so distances tied in exact arithmetic may
+    # differ in their last bits.
+    b = draw(st.integers(1, max_b))
     n = draw(st.integers(1, 150))
     cells = draw(st.lists(st.integers(-3, 3), min_size=n * b, max_size=n * b))
-    return DataSet(np.array(cells, dtype=float).reshape(n, b))
+    return DataSet(np.array(cells, dtype=float).reshape(n, b) * draw(st.sampled_from(scales)))
 
 
 class TestNeighborOrder:
@@ -147,6 +153,19 @@ class TestNeighborOrder:
             key[i] = -1.0
             assert np.array_equal(order[i], np.lexsort((idx, key)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=grid_points(max_b=7, scales=(1.0, 0.1, 1 / 3)),
+           metric=st.sampled_from(["euclidean", "manhattan"]))
+    def test_rows_are_lexsort_of_reference_distances(self, data, metric):
+        # up to b = 7 the column-wise sums are the broadcast expression's bits
+        dist = reference_distances(data.values, data.values, metric)
+        order = neighbor_order(data, metric)
+        idx = np.arange(data.n)
+        for i in range(data.n):
+            key = dist[i].copy()
+            key[i] = -1.0
+            assert np.array_equal(order[i], np.lexsort((idx, key)))
+
     def test_peak_memory_below_two_index_arrays(self):
         # the n x n index array is 8 n^2 bytes; a dense distance matrix with
         # its n x n x b temporaries would peak near 7 times that at b = 3
@@ -159,6 +178,23 @@ class TestNeighborOrder:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 n^2 bytes"
+
+    @pytest.mark.parametrize("b", [2, 3, 6])
+    def test_block_stats_peak_memory_below_three_gathers(self, b):
+        # the search's block statistics gather b x M floats for M members;
+        # summing the products pair by pair keeps the scratch near two such
+        # arrays, where a b x b x M product stack would take b + 2
+        columns = np.random.default_rng(b).standard_normal((b, 5000))
+        sizes = np.full(32, 600)
+        members = np.random.default_rng(0).integers(0, 5000, size=sizes.sum())
+        gathered = 8 * b * members.size
+        tracemalloc.start()
+        try:
+            _block_stats(columns, members, sizes, np.cumsum(sizes) - sizes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * gathered, f"peak {peak / gathered:.2f} x 8 b M bytes"
 
 
 class TestResultDocument:

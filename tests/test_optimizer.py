@@ -474,6 +474,26 @@ class TestMultiStart:
         with pytest.raises(ValueError, match="algorithm"):
             multi_start(data, params, SearchConfig(seed=0), algorithm="annealing")
 
+    @pytest.mark.parametrize("foreign", ["larger", "float"])
+    def test_foreign_order_is_a_value_error(self, foreign):
+        # another dataset's order used to die inside neighbor_blocks with a
+        # bare IndexError, and a float order on its use as an index
+        rng = np.random.default_rng(11)
+        data = DataSet(rng.standard_normal((40, 2)))
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0),
+                               nu=3.0, omega=1.0)
+        if foreign == "larger":
+            order = neighbor_order(DataSet(rng.standard_normal((60, 2))))
+        else:
+            order = neighbor_order(data).astype(float)
+        config = SearchConfig(max_sweeps=2, restarts=2, seed=0)
+        expected = r"integer array of shape \(40, 40\)"
+        with pytest.raises(ValueError, match=expected):
+            multi_start(data, params, config, order=order)
+        init = relabel_compact(rng.integers(1, 4, size=data.n))
+        with pytest.raises(ValueError, match=expected):
+            greedy_combined_icl(data, params, init, config, order, np.random.default_rng(0))
+
 
 @st.composite
 def shifted_searches(draw):
