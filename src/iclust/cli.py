@@ -142,7 +142,7 @@ def _parse_mu(text, b: int, default: np.ndarray) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _family_values(args, b: int, overrides=None) -> dict:
+def _family_values(args, b: int) -> dict:
     """The scalar prior flags of the family of b-column data, defaults filled in.
 
     Univariate data takes --gamma and --delta (0.5 each by default),
@@ -156,32 +156,27 @@ def _family_values(args, b: int, overrides=None) -> dict:
     for name in other:
         if getattr(args, name) is not None:
             raise ValueError(f"--{name} does not apply to {kind} data")
-    o = overrides or {}
-    given = {name: o.get(name, getattr(args, name)) for name in defaults}
+    given = {name: getattr(args, name) for name in defaults}
     return {name: defaults[name] if v is None else v for name, v in given.items()}
 
 
-def _build_params(args, b: int, default_mu: np.ndarray, overrides=None):
+def _build_params(args, b: int, default_mu: np.ndarray):
     """The prior of b-column data; default_mu stands in for an omitted --mu."""
-    o = dict(overrides or {})
-    alpha = o.get("alpha", args.alpha)
-    tau = o.get("tau", args.tau)
-    family = _family_values(args, b, o)
+    family = _family_values(args, b)
     mu = _parse_mu(args.mu, b, default_mu)
     if b == 1:
-        return UvHyperParams(alpha=alpha, tau=tau, mu=float(mu[0]), **family)
-    return MvHyperParams(alpha=alpha, tau=tau, mu=mu, **family)
+        return UvHyperParams(alpha=args.alpha, tau=args.tau, mu=float(mu[0]), **family)
+    return MvHyperParams(alpha=args.alpha, tau=args.tau, mu=mu, **family)
 
 
-def _search_config(args, seed=None, overrides=None):
-    o = dict(overrides or {})
+def _search_config(args):
     return SearchConfig(
         max_sweeps=args.sweeps,
         restarts=args.restarts,
-        beta1=o.get("beta1", args.beta1),
-        beta2=o.get("beta2", args.beta2),
+        beta1=args.beta1,
+        beta2=args.beta2,
         k_max=args.kmax,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
 
 
@@ -256,17 +251,18 @@ def cmd_sweep(args) -> int:
     data = _load_data(args)
     varied, rows = _grid_rows(args, data.b)
     # a bad flag that no grid overrides fails here, before the order is built
-    stand_ins = {name: _STAND_INS[name] for name in varied}
-    _build_params(args, data.b, data.values.mean(axis=0), overrides=stand_ins)
-    _search_config(args, overrides=stand_ins)
+    stand_ins = argparse.Namespace(**{**vars(args), **{name: _STAND_INS[name] for name in varied}})
+    _build_params(stand_ins, data.b, data.values.mean(axis=0))
+    _search_config(stand_ins)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
     results = []
     for idx, row in enumerate(rows):
         seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,)).generate_state(1)[0])
+        point = argparse.Namespace(**{**vars(args), **row, "seed": seed})
         try:
-            params = _build_params(args, data.b, data.values.mean(axis=0), overrides=row)
-            config = _search_config(args, seed=seed, overrides=row)
+            params = _build_params(point, data.b, data.values.mean(axis=0))
+            config = _search_config(point)
             results.append((multi_start(data, params, config, order, algorithm=args.algorithm), None))
         except (ValueError, NumericalError) as exc:
             # a bad grid point is reported in its row, the sweep goes on

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Allocation, DataSet, HyperParams, validate_hyperparams
-from .optimizer import relabel_compact
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,9 @@ class GeneratedSample:
     """A dataset plus the latent quantities it was generated from.
 
     weights, centres and precisions cover the realised components only, in
-    the order the components first appear in the allocation; the weights are
-    renormalised after empty components are dropped so they stay a simplex.
+    the order of their component numbers, which the labels 1..K follow; the
+    weights are renormalised after empty components are dropped so they stay
+    a simplex.
     """
 
     data: DataSet
@@ -51,21 +51,15 @@ def _wishart_root(nu: float, scale_root: np.ndarray, rng) -> np.ndarray:
     return scale_root @ a
 
 
-def _compact_sample(data_values, z_raw, lam, centres, precisions, requested_k):
-    realised = np.unique(z_raw)
-    if realised.size == requested_k:
-        alloc = Allocation(z_raw)
-        order = np.arange(requested_k)
-    else:
-        alloc = relabel_compact(z_raw)
-        # component parameters follow the first-appearance relabelling
-        uniq, first = np.unique(z_raw, return_index=True)
-        order = uniq[np.argsort(first, kind="stable")] - 1
+def _compact_sample(data_values, z_raw, lam, centres, precisions):
+    """The sample with its realised components ranked 1..K by component number."""
+    realised, ranks = np.unique(z_raw, return_inverse=True)
+    order = realised - 1
     weights = lam[order]
     weights = weights / weights.sum()
     return GeneratedSample(
         data=DataSet(data_values),
-        allocation=alloc,
+        allocation=Allocation(ranks + 1),
         weights=weights,
         centres=centres[order],
         precisions=precisions[order],
@@ -104,4 +98,4 @@ def sample_dataset(n: int, K: int, params: HyperParams, rng) -> GeneratedSample:
         if members.size:
             noise = rng.standard_normal((members.size, b))
             values[members] = centres[g] + np.linalg.solve(w.T, noise.T).T
-    return _compact_sample(values, z_raw, lam, centres, precisions, K)
+    return _compact_sample(values, z_raw, lam, centres, precisions)

@@ -25,11 +25,11 @@ prior is the Dirichlet-multinomial mass
 The univariate Gamma(gamma, rate delta) precision prior is the 1x1 Wishart
 with nu = 2 gamma and xi = 2 delta, so one kernel, _batch_evidence, scores
 both: validate_hyperparams hands it that Wishart form, and at b = 1 the
-kernel takes a scalar shape branch where the log determinant is the log of
-the posterior scale itself. Every term that depends on a group's count
-alone, the prior's lgamma(a + n_g) included, is read from _count_terms's four
-read-only tables over counts, built with one math.lgamma call per distinct
-argument and shared by every state and rescoring with the same prior, so the
+log determinant of the 1x1 posterior scale is the log of its one entry.
+Every term that depends on a group's count alone, the prior's
+lgamma(a + n_g) included, is read from _count_terms's four read-only tables
+over counts 0..n, built with one math.lgamma call per distinct argument and
+shared by every state and rescoring with the same prior and n, so the
 kernel's own work is the posterior scale and its determinant.
 
 This module also provides exact move deltas: the ICL change from reallocating
@@ -41,9 +41,10 @@ state keeps its data as b-major columns of x - mu, so every mean it holds is
 d itself. refresh_state is the one build of a state's statistics from its
 labels, behind make_state, icl_exact and each restart's final rescoring. The
 one move kernel, best_moves, sums its blocks over the same columns and scores
-them in one evaluation, flagging each row whose posterior scale is not
-positive definite. Its MoveBatch is the only move record: apply_move writes
-one row into the state and raises on a flagged row.
+them in one evaluation of K + 1 rows per block, aligned with the state's
+rows, flagging each row whose posterior scale is not positive definite. Its
+MoveBatch is the only move record: apply_move writes one row into the state
+and raises on a flagged row.
 """
 
 from __future__ import annotations
@@ -83,19 +84,17 @@ class IclValue:
 
 
 def _batch_logdet_spd(post: np.ndarray, b: int):
-    """Log determinants of stacked symmetric matrices, b >= 2, and a failure mask.
+    """Log determinants of stacked symmetric b x b matrices and a failure mask.
 
-    Dimension two uses the leading-minor test and closed-form determinant;
-    larger dimensions go through a stacked Cholesky, and when that fails each
-    matrix is factored on its own to find the failing ones. A matrix that is
-    not positive definite is marked in the mask and gets a NaN log
-    determinant.
+    Dimensions one and two use the leading-minor test and the closed-form
+    determinant, at b = 1 the single entry itself; larger dimensions go
+    through a stacked Cholesky, and when that fails each matrix is factored
+    on its own to find the failing ones. A matrix that is not positive
+    definite is marked in the mask and gets a NaN log determinant.
     """
-    if b == 2:
+    if b <= 2:
         a = post[:, 0, 0]
-        c = post[:, 1, 1]
-        off = post[:, 0, 1]
-        det = a * c - off * off
+        det = a if b == 1 else a * post[:, 1, 1] - post[:, 0, 1] * post[:, 0, 1]
         # fmin skips a NaN operand, so this is (a <= 0) | (det <= 0)
         bad = np.fmin(a, det) <= 0.0
         if bad.any():
@@ -156,22 +155,14 @@ def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
     The means are relative to mu, as a ClusterState holds them. Returns the
     evidences and a mask of the rows whose posterior scale is not positive
     definite, whose evidence is NaN. terms = _count_terms(params, n_max) with
-    n_max >= every count. Rows with a zero count come out exactly zero. At
-    b = 1 the posterior scale is a scalar per row and skips the matrix shapes.
+    n_max >= every count. Rows with a zero count come out exactly zero. One
+    expression builds the posterior scales for every b; at b = 1 it is the
+    scalar s + xi + d d coef, in that order.
     """
     coef_t, base_t, slope_t, _ = terms
-    coef = coef_t[ns]
-    if params.b == 1:
-        d = means[:, 0]
-        post = scatters[:, 0, 0] + params.scale_matrix()[0, 0] + d * d * coef
-        bad = post <= 0.0
-        if bad.any():
-            post[bad] = math.nan
-        logdet = np.log(post)
-    else:
-        post = (scatters + params.scale_matrix()
-                + means[:, :, None] * means[:, None, :] * coef[:, None, None])
-        logdet, bad = _batch_logdet_spd(post, params.b)
+    post = (scatters + params.scale_matrix()
+            + means[:, :, None] * means[:, None, :] * coef_t[ns][:, None, None])
+    logdet, bad = _batch_logdet_spd(post, params.b)
     return base_t[ns] - slope_t[ns] * logdet, bad
 
 
@@ -250,8 +241,7 @@ def make_state(data: DataSet, z, params: HyperParams) -> ClusterState:
     if len(alloc) != data.n:
         raise ValueError(f"allocation has length {len(alloc)}, data has n = {data.n}")
     params = validate_hyperparams(params, data.b)
-    # best_moves' garbage source-target row has up to 2n members
-    state = ClusterState(data, params, _count_terms(params, 2 * data.n), alloc.labels.copy())
+    state = ClusterState(data, params, _count_terms(params, data.n), alloc.labels.copy())
     refresh_state(state)
     return state
 
@@ -287,10 +277,11 @@ class MoveBatch:
     is the spare empty row, a fresh group, with delta -inf when not offered.
     Staying put scores exactly zero. targets[j] is the first maximiser and
     gains[j] its delta. counts, means, scatters and evidence stack the
-    post-move rows, relative to mu as in the state, B x (K + 2) leading:
-    column t - 1 is row t with the block merged in, the last column the
-    source after removal. failed[j] marks a row with a posterior scale that
-    is not positive definite; it is void.
+    post-move rows, relative to mu as in the state, B x (K + 1) leading and
+    aligned with the state's rows: column t - 1 is row t after the block
+    moves to t, so the source's own column is the source after removal.
+    failed[j] marks a row with a posterior scale that is not positive
+    definite; it is void.
     """
 
     members: np.ndarray
@@ -332,7 +323,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     Block j is the next sizes[j] entries of members and lies in one group.
     Candidates are all current groups (staying put scores exactly zero) plus
     the spare empty row, a fresh group, when allow_new is set. Ties go to the
-    smallest label, so the fresh group comes last. All B (K + 2) rows go
+    smallest label, so the fresh group comes last. All B (K + 1) rows go
     through one stacked evidence evaluation, each with the expressions a
     single block would get, so row j is bit for bit best_move's for block j.
     """
@@ -375,27 +366,23 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     src_means[empties] = 0.0
     src_scats[n_rest <= 1] = 0.0
 
-    # one stacked evidence evaluation: per block, columns 0..K hold the block
-    # merged into every state row, the spare empty row included (which
-    # reproduces the block's own statistics), and column K + 1 the source
-    # after removal; the source's own column is garbage, its delta the exact zero
-    ns_stack = np.empty((nb, k + 2), dtype=np.int64)
-    means_stack = np.empty((nb, k + 2, b))
-    scat_stack = np.empty((nb, k + 2, b, b))
-    n_after = np.add(counts, sizes[:, None], out=ns_stack[:, :k + 1])
+    # one stacked evidence evaluation aligned with the state's rows: per
+    # block, column t - 1 holds the block merged into row t, the spare empty
+    # row included (which reproduces the block's own statistics), and the
+    # source's own column the source after removal
+    n_after = counts + sizes[:, None]
     dv = b_means[:, None, :] - state.means
-    np.add(state.means, dv * (sizes[:, None] / n_after)[:, :, None], out=means_stack[:, :k + 1])
+    means_stack = state.means + dv * (sizes[:, None] / n_after)[:, :, None]
     weight = counts * sizes[:, None] / n_after
-    np.add(state.scatters + b_scats[:, None],
-           dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None],
-           out=scat_stack[:, :k + 1])
-    ns_stack[:, k + 1] = n_rest
-    means_stack[:, k + 1] = src_means
-    scat_stack[:, k + 1] = src_scats
-    ev_stack, bad = _batch_evidence(ns_stack.reshape(-1), means_stack.reshape(-1, b),
+    scat_stack = (state.scatters + b_scats[:, None]
+                  + dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None])
+    n_after[rows, s] = n_rest
+    means_stack[rows, s] = src_means
+    scat_stack[rows, s] = src_scats
+    ev_stack, bad = _batch_evidence(n_after.reshape(-1), means_stack.reshape(-1, b),
                                     scat_stack.reshape(-1, b, b), params, state.count_terms)
-    ev_stack = ev_stack.reshape(nb, k + 2)
-    src_ev = ev_stack[:, k + 1]
+    ev_stack = ev_stack.reshape(nb, k + 1)
+    src_ev = ev_stack[rows, s]
 
     lgp = state.count_terms[3]
     lg = math.lgamma
@@ -414,7 +401,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     shift_fill = lg((k + 1) * alpha) - lg(k * alpha) - lg((k + 1) * alpha + n) + lg(k * alpha + n)
     dprior[~empties, k] += shift_fill
     deltas = ((src_ev - state.group_evidence[s])[:, None]
-              + (ev_stack[:, :k + 1] - state.group_evidence) + dprior)
+              + (ev_stack - state.group_evidence) + dprior)
     deltas[rows, s] = 0.0
     # a whole group moving to the spare row only relabels: exactly zero, so
     # it never beats staying put
@@ -425,7 +412,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     t = deltas.argmax(axis=1)            # first maximiser, smallest label
     return MoveBatch(
         members=members, bounds=bounds, sources=sources, targets=t + 1, gains=deltas[rows, t],
-        deltas=deltas, failed=bad.reshape(nb, k + 2).any(axis=1), counts=ns_stack,
+        deltas=deltas, failed=bad.reshape(nb, k + 1).any(axis=1), counts=n_after,
         means=means_stack, scatters=scat_stack, evidence=ev_stack,
     )
 
@@ -457,13 +444,13 @@ def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
     if target == source:
         return
     s, t = source - 1, target - 1
-    fill, empty = t == state.k, moves.counts[j, -1] == 0
+    fill, empty = t == state.k, moves.counts[j, s] == 0
     state.labels[moves.members[moves.bounds[j]:moves.bounds[j + 1]]] = target
     for name, stack in (("counts", moves.counts), ("means", moves.means),
                         ("scatters", moves.scatters), ("group_evidence", moves.evidence)):
         rows = getattr(state, name)
         rows[t] = stack[j, t]
-        rows[s] = stack[j, -1]
+        rows[s] = stack[j, s]
         if fill:
             rows = np.concatenate([rows, np.zeros_like(rows[:1])])
         if empty:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DataSet, MvHyperParams, UvHyperParams
+from .model import DataSet, MvHyperParams, UvHyperParams, as_integers
 
 
 def read_csv(path) -> DataSet:
@@ -68,11 +68,7 @@ def read_labels_csv(path) -> np.ndarray:
     data = read_csv(path)
     if data.b != 1:
         raise ValueError(f"label file must have one column, got {data.b}")
-    col = data.values[:, 0]
-    labels = col.astype(np.int64)
-    if not np.array_equal(labels, col):
-        raise ValueError("labels must be integers")
-    return labels
+    return as_integers(data.values[:, 0], "labels")
 
 
 def standardize(data: DataSet):

@@ -32,6 +32,20 @@ class TestSampleDataset:
         assert sample.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(sample.weights > 0)
 
+    def test_empty_component_is_dropped_and_the_rest_keep_their_order(self):
+        # component 2 draws no observation; labels and parameters of 1 and 3
+        # are ranked by component number, not by first appearance
+        from iclust.generator import _compact_sample
+
+        lam = np.array([0.2, 0.3, 0.5])
+        centres = np.array([[1.0], [2.0], [3.0]])
+        precisions = np.array([[[1.0]], [[2.0]], [[3.0]]])
+        sample = _compact_sample(np.zeros((3, 1)), np.array([3, 1, 3]), lam, centres, precisions)
+        assert sample.allocation.labels.tolist() == [2, 1, 2]
+        assert sample.centres.tolist() == [[1.0], [3.0]]
+        assert sample.precisions.tolist() == [[[1.0]], [[3.0]]]
+        assert sample.weights.tolist() == [0.2 / 0.7, 0.5 / 0.7]
+
     def test_fixed_seed_reproducible(self):
         a = sample_dataset(25, 3, mv_params(), np.random.default_rng(42))
         b = sample_dataset(25, 3, mv_params(), np.random.default_rng(42))

@@ -480,7 +480,8 @@ class TestMoveBatch:
             assert _state_bytes(batched) == _state_bytes(single)
             if j > 0 and moves.targets[j] == 4:  # K + 1, the spare row
                 kinds.add("fresh")
-            if j > 0 and moves.counts[j, -1] == 0 and moves.targets[j] != moves.sources[j]:
+            s = moves.sources[j] - 1
+            if j > 0 and moves.counts[j, s] == 0 and moves.targets[j] != moves.sources[j]:
                 kinds.add("emptied")
         assert kinds == {"fresh", "emptied"}
 
@@ -507,13 +508,13 @@ class TestMoveBatch:
         with pytest.raises(ValueError, match="different groups"):
             best_move(state, np.array([2, 3]))
 
-    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
     def test_failed_row_flags_only_its_own_block(self, b):
         # a scatter of -xi + 1e-6 I for group 1 (impossible through the public
         # API) leaves every merge into group 1 positive definite, while taking
         # one point out of group 1 leaves a posterior scale with a negative
-        # eigenvalue; at b = 3 this sends the stacked Cholesky down its
-        # per-matrix fallback
+        # eigenvalue; b = 1 and 2 take the closed form, and at b = 3 this
+        # sends the stacked Cholesky down its per-matrix fallback
         from iclust import NumericalError
 
         rng = np.random.default_rng(7)
@@ -568,7 +569,8 @@ class TestBlockStatistics:
                     close(GroupStats(moves.counts[j, t - 1], moves.means[j, t - 1],
                                      moves.scatters[j, t - 1]), merged)
             source = GroupStats.from_points(values[state.labels == s])
-            after = GroupStats(moves.counts[j, -1], moves.means[j, -1], moves.scatters[j, -1])
+            after = GroupStats(moves.counts[j, s - 1], moves.means[j, s - 1],
+                               moves.scatters[j, s - 1])
             close(after, stats_downdate(source, part))
             rest = np.setdiff1d(np.flatnonzero(state.labels == s), block)
             close(after, GroupStats.from_points(values[rest]))
@@ -594,8 +596,9 @@ class TestBlockStatistics:
             merged = np.concatenate([np.flatnonzero(labels == t), block])
             np.testing.assert_allclose(moves.means[0, t - 1], centred_mean(merged),
                                        rtol=0, atol=1e-14)
+        # column 0 is group 1, the block's source, after removal
         rest = np.setdiff1d(np.flatnonzero(labels == 1), block)
-        np.testing.assert_allclose(moves.means[0, -1], centred_mean(rest), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(moves.means[0, 0], centred_mean(rest), rtol=0, atol=1e-14)
         # a one-row block's mean, the unit path's, is its row minus mu
         moves = best_move(state, np.array([3]))
         assert moves.means[0, state.k].tobytes() == (values[3] - mu).tobytes()
@@ -650,7 +653,7 @@ class TestCountTables:
         twin = MvHyperParams(alpha=4.0, tau=1.0, mu=np.zeros(2), nu=3.0, omega=1.0)
         second = make_state(small_data, np.ones(12, dtype=int), twin)
         assert first.count_terms is second.count_terms
-        assert _count_terms(mv_params, 2 * small_data.n) is first.count_terms
+        assert _count_terms(mv_params, small_data.n) is first.count_terms
 
     @pytest.mark.parametrize("labels,block", [
         ([1, 1, 1, 2, 2, 3, 3, 3, 3, 1], [0, 9]),      # an ordinary move, and the spare row
@@ -674,7 +677,7 @@ class TestCountTables:
             after = np.append(counts, 0)
             after[s] -= m
             after[t] += m
-            evidence = ((moves.evidence[0, -1] - state.group_evidence[s])
+            evidence = ((moves.evidence[0, s] - state.group_evidence[s])
                         + (moves.evidence[0, t] - state.group_evidence[t]))
             prior = allocation_log_prior(after[after > 0], params.alpha, data.n) - before
             assert moves.deltas[0, t] - evidence == pytest.approx(prior, abs=1e-12)

@@ -199,7 +199,7 @@ def test_cluster_state_consistency(small_data, mv_params, rng):
             k = state.k
             apply_move(state, moves)
             fresh += moves.targets[0] == k + 1
-            deleted += moves.counts[0, -1] == 0
+            deleted += moves.counts[0, moves.sources[0] - 1] == 0
             # the last row is the spare empty row and the labels stay 1..K
             assert state.counts[-1] == 0 and state.group_evidence[-1] == 0.0
             assert np.all(state.means[-1] == 0.0) and np.all(state.scatters[-1] == 0.0)
