@@ -1,0 +1,99 @@
+"""Time the move kernel of two checkouts side by side, in alternating pairs.
+
+Usage:
+    python3 scripts/kernel_pairs.py A_ROOT B_ROOT [--pairs 30] [--calls 200]
+
+Each ROOT is a source checkout; its src/iclust is loaded under its own package
+name, so both kernels run in one process on the same data. For b = 1, 2, 3 a
+150-point state with 6 groups is built by each side's make_state from the same
+seeded data and labels, and best_moves is timed on four fixed block sets:
+
+- unit B=1: one row;
+- unit B=32: 32 rows, as a full run of visits;
+- 8x3: 8 blocks of 3 rows;
+- 4x15: 4 blocks of 15 rows.
+
+A pair times --calls calls on each side, the side that runs first
+alternating from pair to pair. The report gives each side's median µs per
+call over the pairs and how many pairs each side won; a pair of equal times
+counts for neither. No file is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+N, K = 150, 6
+CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15))
+
+
+def _load(root: Path, name: str):
+    """The iclust package under root/src, imported as the package name."""
+    init = root / "src" / "iclust" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _blocks(labels, count, size, rng):
+    """count same-group blocks of size rows each, concatenated, and their sizes."""
+    groups = [np.flatnonzero(labels == g) for g in range(1, labels.max() + 1)]
+    big = [g for g in groups if g.size >= size]
+    picks = [rng.choice(big[i % len(big)], size, replace=False) for i in range(count)]
+    return np.concatenate(picks), np.full(count, size)
+
+
+def _per_call_us(pkg, state, members, sizes, calls):
+    best_moves = pkg.icl.best_moves
+    start = time.perf_counter()
+    for _ in range(calls):
+        best_moves(state, members, sizes)
+    return (time.perf_counter() - start) / calls * 1e6
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a_root", type=Path)
+    parser.add_argument("b_root", type=Path)
+    parser.add_argument("--pairs", type=int, default=30)
+    parser.add_argument("--calls", type=int, default=200)
+    args = parser.parse_args(argv)
+    sides = (_load(args.a_root.resolve(), "iclust_a"), _load(args.b_root.resolve(), "iclust_b"))
+
+    print(f"{'case':>14} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6}")
+    for b in (1, 2, 3):
+        rng = np.random.default_rng(b)
+        centres = rng.standard_normal((K, b)) * 3.0
+        truth = rng.integers(0, K, size=N)
+        x = centres[truth] + rng.standard_normal((N, b))
+        labels = truth + 1
+        states = [pkg.make_state(pkg.DataSet(x), labels,
+                                 pkg.MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(b),
+                                                   nu=b + 1.0, omega=1.0))
+                  for pkg in sides]
+        for name, count, size in CASES:
+            members, sizes = _blocks(labels, count, size, rng)
+            times = ([], [])
+            for pair in range(args.pairs):
+                for i in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                    times[i].append(_per_call_us(sides[i], states[i], members, sizes,
+                                                 args.calls))
+            a_won = sum(ta < tb for ta, tb in zip(*times))
+            b_won = sum(tb < ta for ta, tb in zip(*times))
+            print(f"b={b} {name:>10} {statistics.median(times[0]):9.1f} "
+                  f"{statistics.median(times[1]):9.1f} {a_won:6d} {b_won:6d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

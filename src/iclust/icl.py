@@ -42,9 +42,13 @@ d itself. refresh_state is the one build of a state's statistics from its
 labels, behind make_state, icl_exact and each restart's final rescoring. The
 one move kernel, best_moves, sums its blocks over the same columns and scores
 them in one evaluation of K + 1 rows per block, aligned with the state's
-rows, flagging each row whose posterior scale is not positive definite. Its
-MoveBatch is the only move record: apply_move writes one row into the state
-and raises on a flagged row.
+rows, flagging each row whose posterior scale is not positive definite. Each
+row is one signed merge of the block into a state row, with weight m into a
+target and -m out of the source (Chan, Golub & LeVeque 1983), and each delta
+is the target's row gain plus the source's, evidence and lgamma(a + n_g),
+plus the change in the K term lgamma(K a) - lgamma(K a + n). Its MoveBatch
+is the only move record: apply_move writes one row into the state and raises
+on a flagged row.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .model import (
     HyperParams,
     MvHyperParams,
     NumericalError,
+    _require_positive,
     as_integers,
     stats_downdate,  # unused here; perfbench/worker.py wraps this attribute
     validate_hyperparams,
@@ -192,6 +197,11 @@ def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
     )
 
 
+def _k_term(k: int, alpha: float, n: int) -> float:
+    """The allocation prior's terms in K and n alone, lgamma(K a) - lgamma(K a + n)."""
+    return math.lgamma(k * alpha) - math.lgamma(k * alpha + n)
+
+
 def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
     """Log Dirichlet-multinomial mass of one labelled allocation.
 
@@ -206,14 +216,12 @@ def allocation_log_prior(counts: Sequence[int], alpha: float, n: int) -> float:
         raise ValueError("group counts must all be positive (compact allocation)")
     if int(counts.sum()) != n:
         raise ValueError(f"group counts sum to {int(counts.sum())}, expected n = {n}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha, "alpha")
     k = counts.size
     # fsum keeps the sum independent of count order, so relabelling a compact
     # allocation reproduces the prior term to the last bit.
     return (
-        math.lgamma(k * alpha)
-        - math.lgamma(k * alpha + n)
+        _k_term(k, alpha, n)
         - k * math.lgamma(alpha)
         + math.fsum(math.lgamma(alpha + int(c)) for c in counts)
     )
@@ -279,9 +287,9 @@ class MoveBatch:
     gains[j] its delta. counts, means, scatters and evidence stack the
     post-move rows, relative to mu as in the state, B x (K + 1) leading and
     aligned with the state's rows: column t - 1 is row t after the block
-    moves to t, so the source's own column is the source after removal.
-    failed[j] marks a row with a posterior scale that is not positive
-    definite; it is void.
+    moves to t, one signed merge each, so the source's own column is the
+    source merged with weight -m, after removal. failed[j] marks a row with
+    a posterior scale that is not positive definite; it is void.
     """
 
     members: np.ndarray
@@ -323,9 +331,12 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     Block j is the next sizes[j] entries of members and lies in one group.
     Candidates are all current groups (staying put scores exactly zero) plus
     the spare empty row, a fresh group, when allow_new is set. Ties go to the
-    smallest label, so the fresh group comes last. All B (K + 1) rows go
-    through one stacked evidence evaluation, each with the expressions a
-    single block would get, so row j is bit for bit best_move's for block j.
+    smallest label, so the fresh group comes last. Every one of the B (K + 1)
+    after-move rows is one signed merge of the block's statistics into the
+    state's row, and all of them go through one stacked evidence evaluation;
+    the delta of target t is the row gains of t and of the source plus the
+    change in the K term. Each row gets the expressions a single block would
+    get, so row j is bit for bit best_move's for block j.
     """
     params = state.params
     alpha = params.alpha
@@ -353,55 +364,39 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     else:
         b_means, b_scats = _block_stats(state.columns, members, sizes, starts)
 
-    # the source after removal, by stats_downdate's expressions; an emptied
-    # source is all zeros and a one-member source has a zero scatter
-    n_src = counts[s]
-    n_rest = n_src - sizes
-    src_means = ((n_src[:, None] * state.means[s] - sizes[:, None] * b_means)
-                 / np.maximum(n_rest, 1)[:, None])
-    d = b_means - src_means
-    src_scats = (state.scatters[s] - b_scats
-                 - d[:, :, None] * d[:, None, :] * (n_rest * sizes / n_src)[:, None, None])
-    empties = n_rest == 0
-    src_means[empties] = 0.0
-    src_scats[n_rest <= 1] = 0.0
-
-    # one stacked evidence evaluation aligned with the state's rows: per
-    # block, column t - 1 holds the block merged into row t, the spare empty
-    # row included (which reproduces the block's own statistics), and the
-    # source's own column the source after removal
-    n_after = counts + sizes[:, None]
+    # one signed merge per column, aligned with the state's rows: the block
+    # joins row t with weight m, the spare empty row included (which
+    # reproduces the block's own statistics), and leaves its source with
+    # weight -m (Chan, Golub & LeVeque 1983). An emptied source gets an all-zero
+    # mean and a row of at most one member a zero scatter.
+    signed = np.repeat(sizes[:, None], k + 1, axis=1)
+    signed[rows, s] = -sizes
+    n_after = counts + signed
+    n_div = np.maximum(n_after, 1)
     dv = b_means[:, None, :] - state.means
-    means_stack = state.means + dv * (sizes[:, None] / n_after)[:, :, None]
-    weight = counts * sizes[:, None] / n_after
-    scat_stack = (state.scatters + b_scats[:, None]
-                  + dv[:, :, :, None] * dv[:, :, None, :] * weight[:, :, None, None])
-    n_after[rows, s] = n_rest
-    means_stack[rows, s] = src_means
-    scat_stack[rows, s] = src_scats
+    means_stack = state.means + dv * (signed / n_div)[:, :, None]
+    scat_stack = (state.scatters + np.sign(signed)[:, :, None, None] * b_scats[:, None]
+                  + dv[:, :, :, None] * dv[:, :, None, :]
+                  * (counts * signed / n_div)[:, :, None, None])
+    means_stack[n_after == 0] = 0.0
+    scat_stack[n_after <= 1] = 0.0
     ev_stack, bad = _batch_evidence(n_after.reshape(-1), means_stack.reshape(-1, b),
                                     scat_stack.reshape(-1, b, b), params, state.count_terms)
     ev_stack = ev_stack.reshape(nb, k + 1)
-    src_ev = ev_stack[rows, s]
 
+    # each delta is the target's and the source's row gain, evidence and
+    # lgamma(alpha + n_g), plus the change in the K term: filling the spare
+    # row takes K to K + 1 and emptying the source K to K - 1. With K = 1 an
+    # emptied source leaves only the source and the spare row as targets,
+    # both exactly zero below, so that shift is never needed.
     lgp = state.count_terms[3]
-    lg = math.lgamma
-    # an emptied source takes K to K - 1; with K = 1 it leaves only the
-    # source and the spare row as targets, both exactly zero below, so its
-    # shift is never read
-    shift_empty = (
-        lg(alpha) + lg((k - 1) * alpha) - lg(k * alpha)
-        - lg((k - 1) * alpha + n) + lg(k * alpha + n)
-    ) if k > 1 else 0.0
-    lgp_rest = lgp[n_rest]
-    lgp_rest[empties] = shift_empty
-    dprior = lgp[n_after] - lgp[counts] - lgp[n_src][:, None]
-    dprior += lgp_rest[:, None]
-    # filling the spare row takes K to K + 1
-    shift_fill = lg((k + 1) * alpha) - lg(k * alpha) - lg((k + 1) * alpha + n) + lg(k * alpha + n)
-    dprior[~empties, k] += shift_fill
-    deltas = ((src_ev - state.group_evidence[s])[:, None]
-              + (ev_stack - state.group_evidence) + dprior)
+    gain = (ev_stack - state.group_evidence) + (lgp[n_after] - lgp[counts])
+    deltas = gain + gain[rows, s][:, None]
+    k_now = _k_term(k, alpha, n)
+    deltas[:, k] += _k_term(k + 1, alpha, n) - k_now
+    empties = n_after[rows, s] == 0
+    if k > 1:
+        deltas[empties] += _k_term(k - 1, alpha, n) - k_now
     deltas[rows, s] = 0.0
     # a whole group moving to the spare row only relabels: exactly zero, so
     # it never beats staying put

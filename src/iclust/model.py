@@ -282,7 +282,7 @@ class ClusterState:
     def __init__(self, data, params, count_terms, labels):
         self.data = data
         self.params = params
-        self.count_terms = count_terms  # icl._count_terms(params, 2 n), read-only
+        self.count_terms = count_terms  # icl._count_terms(params, n), read-only
         self.labels = labels            # (n,) int64, values 1..K
         # (b, n) x - mu, b-major for the block sums; + 0.0 turns -0.0 into 0.0
         self.columns = np.ascontiguousarray((data.values - params.mu).T) + 0.0

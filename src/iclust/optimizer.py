@@ -32,6 +32,7 @@ refresh_state, the build behind icl_exact, and the best exact ICL wins.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -67,14 +68,12 @@ class SearchConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        for name in ("max_sweeps", "restarts", "k_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         _require_positive(self.beta1, "beta1")
         _require_positive(self.beta2, "beta2")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
 
 
 @dataclass(frozen=True)

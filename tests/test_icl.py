@@ -208,6 +208,12 @@ class TestAllocationPrior:
         with pytest.raises(ValueError, match="sum"):
             allocation_log_prior([2, 1], 1.0, 4)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        # lgamma(inf) - lgamma(inf) would make the prior NaN
+        with pytest.raises(ValueError, match="alpha"):
+            allocation_log_prior([1, 2], alpha, 3)
+
     def test_exhaustive_normalization_small(self):
         # over raw label vectors, using the convention that unused labels
         # contribute lgamma(alpha) - lgamma(alpha) = 0
@@ -534,8 +540,62 @@ class TestMoveBatch:
                 assert _same_row(moves, j, best_move(state, block))
 
 
+@st.composite
+def move_cases(draw):
+    # a small integer grid (or a line through it at b = 3) makes duplicate
+    # and collinear points common; n <= 9 makes singleton groups, K = 1 and
+    # whole-group blocks common
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 9))
+    if b == 3 and draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        x = [[t, -2 * t, 0.5 * t] for t in steps]
+    else:
+        cells = draw(st.lists(st.integers(-2, 2), min_size=n * b, max_size=n * b))
+        x = [cells[i * b:(i + 1) * b] for i in range(n)]
+    k = draw(st.integers(1, n))
+    labels = relabel_compact(draw(st.lists(st.integers(1, k), min_size=n, max_size=n))).labels
+    group = draw(st.integers(1, int(labels.max())))
+    members = np.flatnonzero(labels == group).tolist()
+    if draw(st.booleans()):
+        block = members
+    else:
+        block = draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
+    return dict(x=x, labels=labels.tolist(), block=block,
+                uv=b == 1 and draw(st.booleans()), allow_new=draw(st.booleans()))
+
+
+def _check_block_rows(state, blocks, allow_new=True):
+    """Each block's after-move rows, from one stacked call, against two-pass statistics."""
+    labels, k = state.labels, state.k
+    moves = _stacked(state, blocks, allow_new)
+    # the state's statistics are those of the data relative to mu
+    values = state.data.values - state.params.mu
+
+    def close(got, ref):
+        np.testing.assert_allclose(got.n, ref.n, rtol=0, atol=0)
+        np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got.scatter, ref.scatter, rtol=1e-12, atol=1e-12)
+
+    for j, block in enumerate(blocks):
+        s = int(moves.sources[j])
+        for t in range(1, k + 2):
+            after = np.flatnonzero(labels == t)
+            after = (np.setdiff1d(after, block) if t == s
+                     else np.concatenate([after, block]))
+            close(GroupStats(moves.counts[j, t - 1], moves.means[j, t - 1],
+                             moves.scatters[j, t - 1]), GroupStats.from_points(values[after]))
+        close(GroupStats(moves.counts[j, s - 1], moves.means[j, s - 1],
+                         moves.scatters[j, s - 1]),
+              stats_downdate(GroupStats.from_points(values[labels == s]),
+                             GroupStats.from_points(values[block])))
+        assert not moves.means[j][moves.counts[j] == 0].any()
+        assert not moves.scatters[j][moves.counts[j] <= 1].any()
+        assert _same_row(moves, j, best_move(state, block, allow_new))
+
+
 class TestBlockStatistics:
-    """best_moves' segmented block sums against two-pass statistics."""
+    """best_moves' segmented block sums and signed merges against two-pass statistics."""
 
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_merged_and_source_rows_match_two_pass_oracles(self, b):
@@ -549,32 +609,25 @@ class TestBlockStatistics:
         for g in range(1, state.k + 1):
             members = rng.permutation(np.flatnonzero(state.labels == g))
             blocks += [members[:1], members[:max(members.size // 2, 1)], members]
-        blocks = [blocks[j] for j in rng.permutation(len(blocks))]
-        moves = _stacked(state, blocks)
-        # the state's statistics are those of the data relative to mu
-        values, k = data.values - params.mu, state.k
+        _check_block_rows(state, [blocks[j] for j in rng.permutation(len(blocks))])
 
-        def close(got, ref):
-            np.testing.assert_allclose(got.n, ref.n, rtol=0, atol=0)
-            np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(got.scatter, ref.scatter, rtol=1e-12, atol=1e-12)
-
-        for j, block in enumerate(blocks):
-            s = int(moves.sources[j])
-            part = GroupStats.from_points(values[block])
-            for t in range(1, k + 2):
-                if t != s:
-                    merged = GroupStats.from_points(
-                        np.vstack([values[state.labels == t], values[block]]))
-                    close(GroupStats(moves.counts[j, t - 1], moves.means[j, t - 1],
-                                     moves.scatters[j, t - 1]), merged)
-            source = GroupStats.from_points(values[state.labels == s])
-            after = GroupStats(moves.counts[j, s - 1], moves.means[j, s - 1],
-                               moves.scatters[j, s - 1])
-            close(after, stats_downdate(source, part))
-            rest = np.setdiff1d(np.flatnonzero(state.labels == s), block)
-            close(after, GroupStats.from_points(values[rest]))
-            assert _same_row(moves, j, best_move(state, block))
+    @settings(max_examples=150, deadline=None)
+    @given(case=move_cases())
+    def test_drawn_block_rows_match_two_pass_oracles(self, case):
+        data = DataSet(np.array(case["x"], dtype=float))
+        if case["uv"]:
+            params = UvHyperParams(alpha=1.5, tau=0.1, mu=0.3, gamma=1.0, delta=0.5)
+        else:
+            params = MvHyperParams(alpha=1.5, tau=0.1, mu=np.full(data.b, 0.3),
+                                   nu=data.b + 0.5, omega=0.7)
+        state = make_state(data, Allocation(np.array(case["labels"])), params)
+        # the case's block, then per group one row, a partial block and the
+        # whole group, all in one call
+        blocks = [np.array(case["block"])]
+        for g in range(1, state.k + 1):
+            members = np.flatnonzero(state.labels == g)
+            blocks += [members[:1], members[:max(members.size // 2, 1)], members]
+        _check_block_rows(state, blocks, case["allow_new"])
 
     def test_state_and_batch_means_are_relative_to_mu(self):
         rng = np.random.default_rng(70)
@@ -683,31 +736,6 @@ class TestCountTables:
             assert moves.deltas[0, t] - evidence == pytest.approx(prior, abs=1e-12)
             checked += 1
         assert checked == k - (counts[s] == m)
-
-
-@st.composite
-def move_cases(draw):
-    # a small integer grid (or a line through it at b = 3) makes duplicate
-    # and collinear points common; n <= 9 makes singleton groups, K = 1 and
-    # whole-group blocks common
-    b = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 9))
-    if b == 3 and draw(st.booleans()):
-        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        x = [[t, -2 * t, 0.5 * t] for t in steps]
-    else:
-        cells = draw(st.lists(st.integers(-2, 2), min_size=n * b, max_size=n * b))
-        x = [cells[i * b:(i + 1) * b] for i in range(n)]
-    k = draw(st.integers(1, n))
-    labels = relabel_compact(draw(st.lists(st.integers(1, k), min_size=n, max_size=n))).labels
-    group = draw(st.integers(1, int(labels.max())))
-    members = np.flatnonzero(labels == group).tolist()
-    if draw(st.booleans()):
-        block = members
-    else:
-        block = draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
-    return dict(x=x, labels=labels.tolist(), block=block,
-                uv=b == 1 and draw(st.booleans()), allow_new=draw(st.booleans()))
 
 
 class TestMoveKernelProperties:

@@ -605,6 +605,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="k_max"):
             SearchConfig(k_max=0)
 
+    @pytest.mark.parametrize("field", ["max_sweeps", "restarts", "k_max"])
+    def test_counts_must_be_integers(self, field):
+        # range() would only fail inside multi_start, after the neighbour
+        # order is built, and k_max = 2.5 would run as if it were 3
+        for value in (2.5, 2.0):
+            with pytest.raises(ValueError, match=field):
+                SearchConfig(**{field: value})
+
     def test_solution_sweeps_used(self):
         sol = Solution(
             allocation=Allocation(np.array([1, 2])), K=2, icl=-1.0,
