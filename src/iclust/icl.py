@@ -95,13 +95,14 @@ def _batch_logdet_spd(post: np.ndarray, b: int):
     determinant, at b = 1 the single entry itself; larger dimensions go
     through a stacked Cholesky, and when that fails each matrix is factored
     on its own to find the failing ones. A matrix that is not positive
-    definite is marked in the mask and gets a NaN log determinant.
+    definite, or has a NaN minor, is marked in the mask and gets a NaN log
+    determinant.
     """
     if b <= 2:
         a = post[:, 0, 0]
         det = a if b == 1 else a * post[:, 1, 1] - post[:, 0, 1] * post[:, 0, 1]
-        # fmin skips a NaN operand, so this is (a <= 0) | (det <= 0)
-        bad = np.fmin(a, det) <= 0.0
+        # minimum propagates a NaN operand, so a NaN minor or determinant is bad
+        bad = ~(np.minimum(a, det) > 0.0)
         if bad.any():
             det[bad] = math.nan
         return np.log(det), bad
@@ -116,7 +117,9 @@ def _batch_logdet_spd(post: np.ndarray, b: int):
             except np.linalg.LinAlgError:
                 bad[i] = True
                 chol[i] = math.nan
-    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1), bad
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    # LAPACK factors a matrix with a NaN entry without an error
+    return logdet, bad | np.isnan(logdet)
 
 
 def _count_terms(params: MvHyperParams, n_max: int):
@@ -127,7 +130,9 @@ def _count_terms(params: MvHyperParams, n_max: int):
     lg_prior[c] = lgamma(alpha + c). Entry 0 of base and slope is zero, so an
     empty row scores exactly zero. Each lgamma is one math.lgamma call, the b
     shifted terms of base sharing lgamma((nu + j) / 2) for j = 1 - b..n_max,
-    and the tables are built once per prior and n_max and shared read-only.
+    and the tables are built once per prior and n_max and shared read-only. A
+    prior whose lgamma terms overflow, the K term's up to K = n_max + 1
+    included, is a ValueError.
     """
     return _tables(params.b, params.alpha, params.tau, params.nu, params.log_det_scale, n_max)
 
@@ -135,7 +140,15 @@ def _count_terms(params: MvHyperParams, n_max: int):
 @functools.lru_cache(maxsize=8)
 def _tables(b: int, alpha: float, tau: float, nu: float, log_det_scale: float, n_max: int):
     ns = np.arange(n_max + 1, dtype=float)
-    half = np.array(list(map(math.lgamma, ((nu + np.arange(1 - b, n_max + 1)) / 2.0).tolist())))
+    try:
+        half = np.array(list(map(math.lgamma, ((nu + np.arange(1 - b, n_max + 1)) / 2.0).tolist())))
+        lg_prior = np.array(list(map(math.lgamma, (alpha + ns).tolist())))
+        # lgamma rises past 2, so a finite K term at K = n_max + 1 bounds every K term
+        if not math.isfinite(_k_term(n_max + 1, alpha, n_max)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha!r} or nu = {nu!r} is too large: "
+                         "lgamma overflows") from None
     # lgamma((nu + c + 1 - s) / 2) is half[c + b - s]; entry 0 is the prior's own sum
     lg = sum(half[b - s:b - s + n_max + 1] for s in range(1, b + 1))
     lg -= lg[0]
@@ -147,8 +160,7 @@ def _tables(b: int, alpha: float, tau: float, nu: float, log_det_scale: float, n
     )
     slope = 0.5 * (nu + ns)
     base[0] = slope[0] = 0.0
-    tables = (tau * ns / (tau + ns), base, slope,
-              np.array(list(map(math.lgamma, (alpha + ns).tolist()))))
+    tables = (tau * ns / (tau + ns), base, slope, lg_prior)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -259,7 +271,8 @@ def refresh_state(state: ClusterState) -> None:
 
     The groups are _block_stats blocks of their members in index order. Row
     K + 1 is the spare empty row, whose zero count gives an evidence of
-    exactly zero, so the fsum of the evidences is the data term.
+    exactly zero, so the fsum of the evidences is the data term. An ICL that
+    is not finite raises NumericalError.
     """
     labels, params = state.labels, state.params
     k = int(labels.max())
@@ -274,6 +287,9 @@ def refresh_state(state: ClusterState) -> None:
     state.group_evidence = evidence
     state.icl = (math.fsum(evidence.tolist())
                  + allocation_log_prior(sizes, params.alpha, state.data.n))
+    if not math.isfinite(state.icl):
+        raise NumericalError(f"the exact ICL is {state.icl}; "
+                             "the input data or prior is numerically pathological")
 
 
 @dataclass

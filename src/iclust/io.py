@@ -52,14 +52,10 @@ def read_csv(path) -> DataSet:
     return DataSet(np.asarray(rows))
 
 
-def write_csv(data, path, header=None) -> None:
+def write_csv(data, path) -> None:
     """Write a DataSet or 2-d array as CSV with 17 significant digit floats."""
     values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data))
-    out = []
-    if header:
-        out.append(",".join(header))
-    for row in values:
-        out.append(",".join(f"{v:.17g}" for v in row))
+    out = [",".join(f"{v:.17g}" for v in row) for row in values]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

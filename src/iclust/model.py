@@ -18,12 +18,12 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """A positive definite factorization failed on supposedly valid input.
+    """A positive definite factorization failed, or the exact ICL is not finite.
 
     The posterior scale matrix is positive definite whenever the prior scale
-    matrix is, so this error signals catastrophic numerical input or a bug,
-    never an expected condition. It is raised instead of letting NaNs leak
-    into the objective.
+    matrix is, so this error signals catastrophic numerical input, such as
+    values whose squares overflow, or a bug, never an expected condition. It
+    is raised instead of letting NaNs leak into the objective.
     """
 
 

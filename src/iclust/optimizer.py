@@ -21,8 +21,8 @@ acceptance the block stream is rewound and the size draws up to the accepted
 visit are made again, so the stream ends where the one-at-a-time loop leaves
 it. A row whose evidence failed raises NumericalError only when no accepted
 row comes before it. The run starts at one visit, doubles after a run without
-an acceptance up to RUN_MAX and starts over after one, so seeded output is
-the same for any run length.
+an acceptance up to RUN_MAX and never shrinks; seeded output is the same for
+any run length.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored from its labels by
@@ -170,7 +170,6 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
             # raises NumericalError on a failed row, where one visit at a time would
             icl_mod.apply_move(state, moves, j)
             pos += j + 1
-            run = 1
         trace.append((sweep, state.icl))
         if order is None and state.icl - start <= EPSILON:
             break

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +379,39 @@ def test_non_finite_beta_exits_1(capsys, cluster_csv, flag, value):
                                 "--restarts", "1", flag, value])
     assert code == 1
     assert f"{flag[2:]} must be strictly positive" in err
+
+
+def _cluster_process(tmp_path, scale, flags):
+    # a fresh process, as a user runs it: numpy's overflow warnings stay
+    # warnings, and an uncaught exception shows as a traceback
+    path = tmp_path / "data.csv"
+    write_csv(np.random.default_rng(1).standard_normal((40, 2)) * scale, path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "iclust.cli", "cluster", "--data", str(path), "--restarts", "2",
+         "--sweeps", "2", "--seed", "1", *flags],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("scale, flags", [
+    (1.0, ["--omega", "1e308"]),
+    (1.0, ["--tau", "1e308"]),
+    (1.0, ["--mu", "1e300"]),
+    (1e200, []),
+], ids=["omega", "tau", "mu", "data"])
+def test_overflowing_run_exits_3_not_nan(tmp_path, scale, flags):
+    proc = _cluster_process(tmp_path, scale, flags)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("numerical error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--nu"])
+def test_prior_that_overflows_lgamma_exits_1(tmp_path, flag):
+    proc = _cluster_process(tmp_path, 1.0, [flag, "1e308"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "lgamma overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr

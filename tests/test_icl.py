@@ -17,8 +17,9 @@ from iclust import (
     make_state,
     relabel_compact,
 )
-from iclust.icl import _block_stats, _count_terms, apply_move, best_move, best_moves
-from iclust.model import stats_downdate
+from iclust.icl import (_batch_logdet_spd, _block_stats, _count_terms, apply_move, best_move,
+                        best_moves)
+from iclust.model import NumericalError, stats_downdate
 
 from oracles import (
     enumerate_label_vectors,
@@ -736,6 +737,44 @@ class TestCountTables:
             assert moves.deltas[0, t] - evidence == pytest.approx(prior, abs=1e-12)
             checked += 1
         assert checked == k - (counts[s] == m)
+
+
+class TestNonFinite:
+    """Overflow is a typed error, never a NaN objective."""
+
+    @pytest.mark.parametrize("alpha,nu", [
+        (1e308, 3.0),      # lgamma(alpha) overflows
+        (1e305, 3.0),      # lgamma(alpha) is finite, lgamma(K alpha) is not for K >= 3
+        (4.0, 1e308),      # lgamma(nu / 2) overflows
+    ])
+    def test_prior_that_overflows_lgamma_is_a_value_error(self, small_data, alpha, nu):
+        params = MvHyperParams(alpha=alpha, tau=1.0, mu=np.zeros(2), nu=nu, omega=1.0)
+        with pytest.raises(ValueError, match="lgamma overflows"):
+            icl_exact(small_data, np.arange(1, 13), params)
+
+    @pytest.mark.parametrize("post", [
+        [[np.nan]],
+        [[np.inf, np.inf], [np.inf, np.inf]],      # inf - inf determinant
+        [[np.nan, 0.0], [0.0, 1.0]],               # NaN leading minor
+        [[1.0, np.nan], [np.nan, 1.0]],            # NaN off-diagonal
+        [[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]],  # through Cholesky
+    ], ids=["b1", "b2-inf", "b2-minor", "b2-offdiag", "b3-offdiag"])
+    def test_nan_minor_or_determinant_is_flagged(self, post):
+        b = len(post)
+        stacked = np.stack([np.array(post), 2.0 * np.eye(b)])
+        with np.errstate(invalid="ignore"):
+            logdet, bad = _batch_logdet_spd(stacked, b)
+        assert bad.tolist() == [True, False]
+        assert math.isnan(logdet[0])
+        assert logdet[1] == pytest.approx(b * math.log(2.0), abs=1e-15)
+
+    def test_non_finite_exact_icl_is_a_numerical_error(self, small_data):
+        # the spare row's scale 1e308 I has an infinite determinant, which
+        # is positive, and its zero slope times that log is NaN
+        params = MvHyperParams(alpha=4.0, tau=1.0, mu=np.zeros(2), nu=3.0, omega=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="exact ICL is nan"):
+                make_state(small_data, np.ones(12, dtype=int), params)
 
 
 class TestMoveKernelProperties:

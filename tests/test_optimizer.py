@@ -267,6 +267,51 @@ class TestRunScoring:
             assert runs.icl == icl_exact(data, np.ones(data.n, dtype=int), params).total
 
     @pytest.mark.parametrize("algorithm", ["plain", "combined"])
+    def test_run_doubles_and_never_shrinks(self, monkeypatch, algorithm):
+        # replays the run rule over the kernel calls of each restart: a call
+        # scores min(run, visits left in the sweep) rows, the run doubles after
+        # a call without an acceptance, up to RUN_MAX, and an acceptance keeps it
+        data, params = _run_scoring_data(2)
+        config = SearchConfig(max_sweeps=4, restarts=2, k_max=20, seed=5)
+        events = []
+        real_make_state, real_best_moves, real_apply_move = (
+            icl_mod.make_state, icl_mod.best_moves, icl_mod.apply_move)
+
+        def make_state(*args):
+            events.append(("restart", 0))
+            return real_make_state(*args)
+
+        def best_moves(state, members, sizes, allow_new=True):
+            events.append(("call", len(sizes)))
+            return real_best_moves(state, members, sizes, allow_new)
+
+        def apply_move(state, moves, j=0):
+            events.append(("accept", j))
+            real_apply_move(state, moves, j)
+
+        monkeypatch.setattr(icl_mod, "make_state", make_state)
+        monkeypatch.setattr(icl_mod, "best_moves", best_moves)
+        monkeypatch.setattr(icl_mod, "apply_move", apply_move)
+        multi_start(data, params, config, algorithm=algorithm)
+        assert [kind for kind, _ in events].count("restart") == 2
+        after_acceptance = []
+        for i, (kind, value) in enumerate(events):
+            if kind == "restart":
+                run, pos = 1, 0
+            elif kind == "call":
+                assert value == min(run, data.n - pos)
+                if events[i - 1][0] == "accept":
+                    after_acceptance.append(value)
+                if i + 1 == len(events) or events[i + 1][0] != "accept":
+                    pos += value
+                    run = min(2 * run, opt.RUN_MAX)
+            else:
+                pos += value + 1
+            pos %= data.n
+        # the replay has seen an acceptance keep a run longer than one visit
+        assert max(after_acceptance) > 1
+
+    @pytest.mark.parametrize("algorithm", ["plain", "combined"])
     def test_failed_row_after_an_acceptance_is_dropped(self, monkeypatch, algorithm):
         # the rows after the first accepted one are never read, so flagging
         # them changes nothing
