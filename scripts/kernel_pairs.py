@@ -6,12 +6,13 @@ Usage:
 Each ROOT is a source checkout; its src/iclust is loaded under its own package
 name, so both kernels run in one process on the same data. For b = 1, 2, 3 a
 150-point state with 6 groups is built by each side's make_state from the same
-seeded data and labels, and best_moves is timed on four fixed block sets:
+seeded data and labels, and best_moves is timed on five fixed block sets:
 
 - unit B=1: one row;
 - unit B=32: 32 rows, as a full run of visits;
 - 8x3: 8 blocks of 3 rows;
-- 4x15: 4 blocks of 15 rows.
+- 4x15: 4 blocks of 15 rows;
+- whole B=K: one block per group, each the whole group.
 
 A pair times --calls calls on each side, the side that runs first
 alternating from pair to pair. The report gives each side's median µs per
@@ -31,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 N, K = 150, 6
-CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15))
+CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15),
+         ("whole B=K", K, None))
 
 
 def _load(root: Path, name: str):
@@ -46,8 +48,13 @@ def _load(root: Path, name: str):
 
 
 def _blocks(labels, count, size, rng):
-    """count same-group blocks of size rows each, concatenated, and their sizes."""
+    """count same-group blocks of size rows each, concatenated, and their sizes.
+
+    A size of None makes each group one whole block, in index order.
+    """
     groups = [np.flatnonzero(labels == g) for g in range(1, labels.max() + 1)]
+    if size is None:
+        return np.concatenate(groups), np.array([g.size for g in groups])
     big = [g for g in groups if g.size >= size]
     picks = [rng.choice(big[i % len(big)], size, replace=False) for i in range(count)]
     return np.concatenate(picks), np.full(count, size)

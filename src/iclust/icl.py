@@ -40,15 +40,16 @@ spare empty row, scored through the same batch as every existing group. A
 state keeps its data as b-major columns of x - mu, so every mean it holds is
 d itself. refresh_state is the one build of a state's statistics from its
 labels, behind make_state, icl_exact and each restart's final rescoring. The
-one move kernel, best_moves, sums its blocks over the same columns and scores
-them in one evaluation of K + 1 rows per block, aligned with the state's
-rows, flagging each row whose posterior scale is not positive definite. Each
-row is one signed merge of the block into a state row, with weight m into a
-target and -m out of the source (Chan, Golub & LeVeque 1983), and each delta
-is the target's row gain plus the source's, evidence and lgamma(a + n_g),
-plus the change in the K term lgamma(K a) - lgamma(K a + n). Its MoveBatch
-is the only move record: apply_move writes one row into the state and raises
-on a flagged row.
+one move kernel, best_moves, takes a block that is a whole group of two or
+more members from its group's own state row and sums every other block over
+the same columns. It scores them in one evaluation of K + 1 rows per block,
+aligned with the state's rows, flagging each row whose posterior scale is
+not positive definite. Each row is one signed merge of the block into a
+state row, with weight m into a target and -m out of the source (Chan,
+Golub & LeVeque 1983), and each delta is the target's row gain plus the
+source's, evidence and lgamma(a + n_g), plus the change in the K term
+lgamma(K a) - lgamma(K a + n). Its MoveBatch is the only move record:
+apply_move writes one row into the state and raises on a flagged row.
 """
 
 from __future__ import annotations
@@ -304,8 +305,10 @@ class MoveBatch:
     post-move rows, relative to mu as in the state, B x (K + 1) leading and
     aligned with the state's rows: column t - 1 is row t after the block
     moves to t, one signed merge each, so the source's own column is the
-    source merged with weight -m, after removal. failed[j] marks a row with
-    a posterior scale that is not positive definite; it is void.
+    source merged with weight -m, after removal. A block that is a whole
+    group of two or more members merges its source's state row, other
+    blocks their summed members. failed[j] marks a row with a posterior
+    scale that is not positive definite; it is void.
     """
 
     members: np.ndarray
@@ -347,9 +350,12 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     Block j is the next sizes[j] entries of members and lies in one group.
     Candidates are all current groups (staying put scores exactly zero) plus
     the spare empty row, a fresh group, when allow_new is set. Ties go to the
-    smallest label, so the fresh group comes last. Every one of the B (K + 1)
-    after-move rows is one signed merge of the block's statistics into the
-    state's row, and all of them go through one stacked evidence evaluation;
+    smallest label, so the fresh group comes last. A block of two or more
+    members that is its whole group takes its statistics from its source's
+    state row; only the other blocks' members are gathered and summed. Every
+    one of the B (K + 1) after-move rows is one signed merge of the block's
+    statistics into the state's row, and all of them go through one stacked
+    evidence evaluation;
     the delta of target t is the row gains of t and of the source plus the
     change in the K term. Each row gets the expressions a single block would
     get, so row j is bit for bit best_move's for block j.
@@ -373,12 +379,22 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     s = sources - 1
 
     # block statistics; unit blocks skip the segmented sums, and either way a
-    # one-row block's mean is its column
+    # one-row block's mean is its column. A whole group of two or more members
+    # is its source row, and a call with none sums all its blocks at once.
     if unit:
         b_means = state.columns[:, members].T
         b_scats = np.zeros((nb, b, b))
     else:
-        b_means, b_scats = _block_stats(state.columns, members, sizes, starts)
+        part = (sizes == 1) | (sizes != counts[s])
+        if part.all():
+            b_means, b_scats = _block_stats(state.columns, members, sizes, starts)
+        else:
+            b_means, b_scats = state.means[s], state.scatters[s]
+            if part.any():
+                p_sizes = sizes[part]
+                b_means[part], b_scats[part] = _block_stats(
+                    state.columns, members[np.repeat(part, sizes)], p_sizes,
+                    np.cumsum(p_sizes) - p_sizes)
 
     # one signed merge per column, aligned with the state's rows: the block
     # joins row t with weight m, the spare empty row included (which

@@ -71,14 +71,19 @@ def standardize(data: DataSet):
     """Centre and scale each column to mean 0 and sample sd 1 (n - 1 denominator).
 
     Returns the transformed data together with the per-column means and sds.
-    A column with zero variance is an error.
+    Each column is first divided by the power of two at its largest
+    magnitude, so its squares neither overflow nor underflow; that scaling is
+    exact, so ordinary data gets the bits of the unscaled expression. A
+    constant column is an error, also where rounding leaves its sd above 0.
     """
-    means = data.values.mean(axis=0)
-    sds = data.values.std(axis=0, ddof=1) if data.n > 1 else np.zeros(data.b)
-    bad = np.flatnonzero(~(sds > 0))
+    _, exps = np.frexp(np.abs(data.values).max(axis=0))
+    values = np.ldexp(data.values, -exps)
+    means = values.mean(axis=0)
+    sds = values.std(axis=0, ddof=1) if data.n > 1 else np.zeros(data.b)
+    bad = np.flatnonzero(values.max(axis=0) == values.min(axis=0))
     if bad.size:
         raise ValueError(f"column {int(bad[0]) + 1} has zero variance and cannot be standardized")
-    return DataSet((data.values - means) / sds), means, sds
+    return DataSet((values - means) / sds), np.ldexp(means, exps), np.ldexp(sds, exps)
 
 
 def _distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:

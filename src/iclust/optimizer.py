@@ -118,12 +118,14 @@ def neighbor_blocks(state, batch: np.ndarray, order: np.ndarray,
     neighbor_order(data)[i], i first. One gather of order[batch] and its group
     mask serves every block. Returns them concatenated, and their sizes.
     """
-    groups = state.counts[state.labels[batch] - 1]
+    labels = state.labels[batch]
+    groups = state.counts[labels - 1]
     sizes = np.array(_block_sizes(groups.tolist(), beta1, beta2, rng), dtype=np.int64)
     ranked = order[batch]
     # row by row the m group members, nearest first; a row keeps its first size
-    hits = np.flatnonzero(state.labels[ranked] == state.labels[batch][:, None])
-    skip = np.repeat(np.cumsum(groups - sizes) - (groups - sizes), sizes)
+    hits = np.flatnonzero(state.labels[ranked] == labels[:, None])
+    rest = groups - sizes
+    skip = np.repeat(np.cumsum(rest) - rest, sizes)
     return ranked.ravel()[hits[np.arange(skip.size) + skip]], sizes
 
 

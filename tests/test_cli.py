@@ -381,11 +381,11 @@ def test_non_finite_beta_exits_1(capsys, cluster_csv, flag, value):
     assert f"{flag[2:]} must be strictly positive" in err
 
 
-def _cluster_process(tmp_path, scale, flags):
+def _cluster_process(tmp_path, scale, flags, shift=0.0):
     # a fresh process, as a user runs it: numpy's overflow warnings stay
     # warnings, and an uncaught exception shows as a traceback
     path = tmp_path / "data.csv"
-    write_csv(np.random.default_rng(1).standard_normal((40, 2)) * scale, path)
+    write_csv((np.random.default_rng(1).standard_normal((40, 2)) + shift) * scale, path)
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-m", "iclust.cli", "cluster", "--data", str(path), "--restarts", "2",
@@ -405,6 +405,21 @@ def test_overflowing_run_exits_3_not_nan(tmp_path, scale, flags):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith("numerical error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_standardized_huge_data_clusters_as_unscaled(tmp_path):
+    # two clouds 8 sds apart; at 1e200 the squares of the raw values overflow
+    shift = np.repeat([[0.0, 0.0], [8.0, 0.0]], 20, axis=0)
+    flags = ["--standardize", "--omega", "0.1"]
+    runs = [_cluster_process(tmp_path, scale, flags, shift) for scale in (1e200, 1.0)]
+    for proc in runs:
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+    huge, unscaled = (re.fullmatch(r"K = (\d+)\nICL_ex = (\S+)\n", proc.stdout).groups()
+                      for proc in runs)
+    assert int(huge[0]) == int(unscaled[0]) > 1
+    assert math.isfinite(float(huge[1]))
+    assert float(huge[1]) == pytest.approx(float(unscaled[1]), rel=1e-9)
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--nu"])

@@ -492,6 +492,25 @@ class TestMoveBatch:
                 kinds.add("emptied")
         assert kinds == {"fresh", "emptied"}
 
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_whole_group_block_reads_its_group_row(self, b):
+        # after the columns of group 1 and of the singleton group 3 move by
+        # 1e-6, only blocks that gather their members see it: a whole group
+        # takes its statistics from its state row, a one-row block its column
+        rng = np.random.default_rng(60 + b)
+        data = DataSet(rng.standard_normal((12, b)))
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(b), nu=b + 1.0, omega=1.0)
+        state = make_state(data, np.repeat([1, 2, 3], [5, 6, 1]), params)
+        blocks = [np.array([3, 0, 4, 1, 2]), np.array([0, 1]), np.array([11])]
+        rows = []
+        for shift in (0.0, 1e-6):
+            state.columns[:, [0, 1, 2, 3, 4, 11]] += shift
+            moves = _stacked(state, blocks)
+            rows.append([b"".join(getattr(moves, f)[j].tobytes()
+                                  for f in ("deltas", "means", "scatters", "evidence"))
+                         for j in range(len(blocks))])
+        assert [before == after for before, after in zip(*rows)] == [True, False, False]
+
     def test_failed_row_raises_and_leaves_state_untouched(self):
         # the construction of test_failed_row_flags_only_its_own_block
         from iclust import NumericalError

@@ -95,6 +95,22 @@ class TestStandardize:
         with pytest.raises(ValueError, match="column 2"):
             standardize(DataSet(np.array([[1.0, 5.0], [2.0, 5.0]])))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_matches_unit_scale(self, scale):
+        # the squares of the raw values overflow at 1e200 and underflow at 1e-200
+        values = np.random.default_rng(1).standard_normal((40, 2))
+        data, means, sds = standardize(DataSet(values * scale))
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(sds)) and np.all(sds > 0)
+        np.testing.assert_allclose(data.values, standardize(DataSet(values))[0].values,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("value, n", [(0.0, 3), (1e-200, 3), (1e200, 3), (5.0, 2),
+                                          (0.1, 3), (7.7, 7)])
+    def test_constant_column_fails_at_any_scale(self, value, n):
+        # at 0.1 x 3 and 7.7 x 7 the rounded mean is not the value, so the sd is not 0
+        with pytest.raises(ValueError, match="column 1 has zero variance"):
+            standardize(DataSet(np.column_stack([np.full(n, value), np.arange(n)])))
+
 
 class TestDistanceMatrix:
     def test_three_four_five(self):
