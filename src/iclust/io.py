@@ -115,10 +115,12 @@ def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     """Row i lists i first, then every other observation by (distance to i, index).
 
     Rows are built 64 at a time from _distances, column by column, so only
-    the n x n index array is held. Rows with a tied distance are re-sorted
-    stably after the fast default argsort, so ties go by index.
+    the n x n index array is held, in the narrowest unsigned type that holds
+    n - 1: n^2 bytes up to n = 256, 2 n^2 up to n = 65,536, then 4 n^2. Rows
+    with a tied distance are re-sorted stably after the fast default argsort,
+    so ties go by index.
     """
-    order = np.empty((data.n, data.n), dtype=np.intp)
+    order = np.empty((data.n, data.n), dtype=np.min_scalar_type(data.n - 1))
     for lo in range(0, data.n, 64):
         d = _distances(data.values[lo:lo + 64], data.values, metric)
         np.fill_diagonal(d[:, lo:], -1.0)  # ahead of a duplicate with a smaller index

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from iclust import (
     Allocation,
     DataSet,
     MvHyperParams,
+    NumericalError,
     SearchConfig,
     Solution,
     UvHyperParams,
@@ -538,6 +540,73 @@ class TestMultiStart:
         init = relabel_compact(rng.integers(1, 4, size=data.n))
         with pytest.raises(ValueError, match=expected):
             greedy_combined_icl(data, params, init, config, order, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["galaxy", "b2-300"])
+    def test_saved_wider_order_gives_the_same_search(self, case, galaxy_standardized):
+        # an order saved by an older version is intp; no code does arithmetic
+        # on order entries, so the narrow order's search is the wide one's
+        if case == "galaxy":
+            data = galaxy_standardized
+            params = UvHyperParams(alpha=0.5, tau=0.01, mu=0.0, gamma=1.0, delta=0.1)
+        else:
+            gen = MvHyperParams(alpha=4.0, tau=0.001, mu=np.zeros(2), nu=3.0, omega=0.5)
+            data = sample_dataset(300, 4, gen, np.random.default_rng(5)).data
+            params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0), nu=3.0,
+                                   omega=0.5)
+        order = neighbor_order(data)
+        assert order.dtype == (np.uint8 if case == "galaxy" else np.uint16)
+        config = SearchConfig(max_sweeps=4, restarts=3, beta1=0.2, beta2=0.04, seed=3)
+        runs = [multi_start(data, params, config, order=o)
+                for o in (order, order.astype(np.intp), order.astype(np.int32))]
+        for run in runs[1:]:
+            assert run.K == runs[0].K
+            assert run.allocation.labels.tolist() == runs[0].allocation.labels.tolist()
+            assert run.icl == runs[0].icl
+            assert run.restart_bests == runs[0].restart_bests
+
+
+@st.composite
+def extreme_searches(draw):
+    # finite data anywhere in 1e-300..1e300, both signs, with duplicate rows;
+    # n up to 300 gives combined runs both uint8 and uint16 orders, and the
+    # two ranges keep the larger n as common as the smaller
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 256) | st.integers(257, 300))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(1, n + 1)
+    rows = rng.choice([-1.0, 1.0], size=(distinct, b)) * 10.0 ** rng.uniform(lo, hi,
+                                                                            (distinct, b))
+    data = DataSet(rows[rng.integers(distinct, size=n)])
+    mu = draw(st.sampled_from(["zero", "mean", "row"]))
+    mu = {"zero": np.zeros(b), "mean": data.values.mean(axis=0), "row": data.values[0]}[mu]
+    if b == 1 and draw(st.booleans()):
+        params = UvHyperParams(alpha=1.0, tau=0.1, mu=float(mu[0]), gamma=1.5, delta=1.0)
+    else:
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=mu, nu=b + 1.0, omega=1.0)
+    return data, params, draw(st.sampled_from(["plain", "combined"])), draw(st.integers(0, 99))
+
+
+class TestNeverNaN:
+    @settings(max_examples=60, deadline=None)
+    @given(case=extreme_searches())
+    def test_exact_finite_icl_or_a_typed_error(self, case):
+        # squares past 1e308 overflow; numpy's overflow warnings stay warnings
+        # here, as in a user's process (see test_cli's _cluster_process), and
+        # what is checked is how the run ends
+        data, params, algorithm, seed = case
+        config = SearchConfig(max_sweeps=2, restarts=2, k_max=10, seed=seed)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                sol = multi_start(data, params, config, algorithm=algorithm)
+            except (NumericalError, ValueError):
+                return
+            exact = icl_exact(data, sol.allocation, params).total
+        assert np.isfinite(sol.icl)
+        assert sol.icl == exact
+        assert all(v is None or np.isfinite(v) for v in sol.restart_bests)
 
 
 @st.composite
