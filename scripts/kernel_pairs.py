@@ -1,10 +1,10 @@
-"""Time the move kernel of two checkouts side by side, in alternating pairs.
+"""Time the move kernel and the block picker of two checkouts side by side, in alternating pairs.
 
 Usage:
     python3 scripts/kernel_pairs.py A_ROOT B_ROOT [--pairs 30] [--calls 200]
 
 Each ROOT is a source checkout; its src/iclust is loaded under its own package
-name, so both kernels run in one process on the same data. For b = 1, 2, 3 a
+name, so both sides run in one process on the same data. For b = 1, 2, 3 a
 150-point state with 6 groups is built by each side's make_state from the same
 seeded data and labels, and best_moves is timed on five fixed block sets:
 
@@ -13,6 +13,17 @@ seeded data and labels, and best_moves is timed on five fixed block sets:
 - 8x3: 8 blocks of 3 rows;
 - 4x15: 4 blocks of 15 rows;
 - whole B=K: one block per group, each the whole group.
+
+Then optimizer.neighbor_blocks is timed on 32-visit runs at the sizes of the
+galaxy grid (n = 82, b = 1) and of cluster-3000 (n = 3000, b = 3), each with
+5 groups, its order from that side's neighbor_order, and three size laws:
+
+- whole: Beta(1e6, 1e-9), so every block is its whole group;
+- mixed: Beta(0.2, 0.04), cluster-3000's law: whole, partial and single blocks;
+- partial: Beta(2, 2), blocks that are mostly part of their group.
+
+The visits and the size draws come from fixed seeds, the same on both sides,
+and the "whole %" column gives the share of whole-group blocks among them.
 
 A pair times --calls calls on each side, the side that runs first
 alternating from pair to pair. The report gives each side's median µs per
@@ -34,6 +45,9 @@ import numpy as np
 N, K = 150, 6
 CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15),
          ("whole B=K", K, None))
+PICKER_SIZES = ((82, 1), (3000, 3))
+PICKER_CASES = (("whole", 1e6, 1e-9), ("mixed", 0.2, 0.04), ("partial", 2.0, 2.0))
+PICKER_RUN, PICKER_GROUPS = 32, 5
 
 
 def _load(root: Path, name: str):
@@ -68,6 +82,44 @@ def _per_call_us(pkg, state, members, sizes, calls):
     return (time.perf_counter() - start) / calls * 1e6
 
 
+def _picker_us(pkg, state, order, batches, betas, calls):
+    """µs per neighbor_blocks call over calls runs, the size draws seeded alike on both sides."""
+    neighbor_blocks = pkg.optimizer.neighbor_blocks
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    for c in range(calls):
+        neighbor_blocks(state, batches[c % len(batches)], order, *betas, rng)
+    return (time.perf_counter() - start) / calls * 1e6
+
+
+def _whole_share(pkg, state, order, batches, betas, calls):
+    """Per cent of whole-group blocks in the runs that _picker_us times."""
+    rng = np.random.default_rng(0)
+    whole = total = 0
+    for c in range(calls):
+        batch = batches[c % len(batches)]
+        _, sizes = pkg.optimizer.neighbor_blocks(state, batch, order, *betas, rng)
+        whole += int((sizes == state.counts[state.labels[batch] - 1]).sum())
+        total += sizes.size
+    return 100.0 * whole / total
+
+
+def _report(name, times, extra=""):
+    a_won = sum(ta < tb for ta, tb in zip(*times))
+    b_won = sum(tb < ta for ta, tb in zip(*times))
+    print(f"{name} {statistics.median(times[0]):9.1f} {statistics.median(times[1]):9.1f} "
+          f"{a_won:6d} {b_won:6d}{extra}")
+
+
+def _pairs(run, pairs):
+    """Each side's times over pairs, run(i) timing side i, the first side alternating."""
+    times = ([], [])
+    for pair in range(pairs):
+        for i in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            times[i].append(run(i))
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a_root", type=Path)
@@ -90,15 +142,30 @@ def main(argv=None) -> int:
                   for pkg in sides]
         for name, count, size in CASES:
             members, sizes = _blocks(labels, count, size, rng)
-            times = ([], [])
-            for pair in range(args.pairs):
-                for i in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                    times[i].append(_per_call_us(sides[i], states[i], members, sizes,
-                                                 args.calls))
-            a_won = sum(ta < tb for ta, tb in zip(*times))
-            b_won = sum(tb < ta for ta, tb in zip(*times))
-            print(f"b={b} {name:>10} {statistics.median(times[0]):9.1f} "
-                  f"{statistics.median(times[1]):9.1f} {a_won:6d} {b_won:6d}")
+            times = _pairs(lambda i: _per_call_us(sides[i], states[i], members, sizes,
+                                                  args.calls), args.pairs)
+            _report(f"b={b} {name:>10}", times)
+
+    print(f"\n{'picker':>18} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6} {'whole %':>8}")
+    for n, b in PICKER_SIZES:
+        rng = np.random.default_rng(n)
+        centres = rng.standard_normal((PICKER_GROUPS, b)) * 3.0
+        truth = rng.integers(0, PICKER_GROUPS, size=n)
+        x = centres[truth] + rng.standard_normal((n, b))
+        batches = [rng.permutation(n)[:PICKER_RUN] for _ in range(16)]
+        states, orders = [], []
+        for pkg in sides:
+            data = pkg.DataSet(x)
+            states.append(pkg.make_state(data, truth + 1,
+                                         pkg.MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(b),
+                                                           nu=b + 1.0, omega=1.0)))
+            orders.append(pkg.io.neighbor_order(data))
+        for name, beta1, beta2 in PICKER_CASES:
+            times = _pairs(lambda i: _picker_us(sides[i], states[i], orders[i], batches,
+                                                (beta1, beta2), args.calls), args.pairs)
+            share = _whole_share(sides[0], states[0], orders[0], batches, (beta1, beta2),
+                                 args.calls)
+            _report(f"n={n:<5} {name:>10}", times, f" {share:8.1f}")
     return 0
 
 

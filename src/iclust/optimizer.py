@@ -8,7 +8,8 @@ than EPSILON. The combined variant instead proposes a whole
 nearest-neighbour block from the visited observation's group, with the
 block size drawn from a Beta-Binomial, which lets the search escape local
 optima that single-observation moves cannot leave. One batched picker,
-neighbor_blocks, reads blocks off one neighbour order per dataset.
+neighbor_blocks, reads a block that is its whole group from a stable sort
+of the labels, and every other block off one neighbour order per dataset.
 
 The loop scores a run of upcoming visits in one best_moves call, every block
 against the same state, and applies the first accepted move of the run. Most
@@ -115,18 +116,29 @@ def neighbor_blocks(state, batch: np.ndarray, order: np.ndarray,
     """Nearest-neighbour blocks of the visits in batch, each inside its own group.
 
     Visit i's block is the first _block_sizes of its group in order[i] =
-    neighbor_order(data)[i], i first. One gather of order[batch] and its group
-    mask serves every block. Returns them concatenated, and their sizes.
+    neighbor_order(data)[i], i first. A block that is its whole group holds
+    the same members in index order instead, read from one stable sort of
+    the labels; only the other blocks gather their rows of order and mask
+    them by group. Both read the labels cast to the narrowest type that holds
+    K, which numpy radix-sorts. The sort, then row by row the partial blocks'
+    group members nearest first, make one pool, and each block is a run of
+    it. Returns the blocks concatenated as intp, and their sizes.
     """
     labels = state.labels[batch]
     groups = state.counts[labels - 1]
     sizes = np.array(_block_sizes(groups.tolist(), beta1, beta2, rng), dtype=np.int64)
-    ranked = order[batch]
-    # row by row the m group members, nearest first; a row keeps its first size
-    hits = np.flatnonzero(state.labels[ranked] == labels[:, None])
-    rest = groups - sizes
-    skip = np.repeat(np.cumsum(rest) - rest, sizes)
-    return ranked.ravel()[hits[np.arange(skip.size) + skip]], sizes
+    part = sizes < groups
+    small = state.labels.astype(np.min_scalar_type(state.k))
+    pool = small.argsort(kind="stable")
+    heads = state.counts.cumsum()[labels - 1] - groups  # where each group starts in pool
+    if part.any():
+        rows = batch[part]
+        ranked = order[rows]
+        hits = (small.take(ranked) == small[rows, None]).ravel().nonzero()[0]
+        pool = np.concatenate((pool, ranked.ravel()[hits]), dtype=np.intp)
+        heads[part] = state.data.n + groups[part].cumsum() - groups[part]
+    ends = sizes.cumsum()
+    return pool[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)], sizes
 
 
 def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,

@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iclust import DataSet, MvHyperParams, UvHyperParams, icl_exact
 from iclust import cli
 from iclust.cli import main
-from iclust.io import read_csv, read_result, write_csv
+from iclust.io import read_csv, read_result, standardize, write_csv
 
 
 @pytest.fixture
@@ -430,3 +437,61 @@ def test_prior_that_overflows_lgamma_exits_1(tmp_path, flag):
     assert proc.stderr.startswith("error:")
     assert "lgamma overflows" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@st.composite
+def extreme_cluster_flags(draw):
+    # each prior flag of the data's family omitted or anywhere in 1e-300..1e300,
+    # mu with either sign; the data is two clouds, univariate or bivariate
+    magnitude = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+    b = draw(st.sampled_from([1, 2]))
+    family = ("gamma", "delta") if b == 1 else ("nu", "omega")
+    flags = {name: draw(st.none() | magnitude) for name in ("alpha", "tau") + family}
+    flags["mu"] = draw(st.none() | st.tuples(st.sampled_from([-1.0, 1.0]), magnitude)
+                       .map(lambda sm: sm[0] * sm[1]))
+    return b, flags, draw(st.booleans()), draw(st.sampled_from(["combined", "plain"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=extreme_cluster_flags())
+def test_cluster_prints_an_exact_finite_icl_or_a_typed_error(case):
+    # numpy's overflow warnings stay warnings, as in a user's process (see
+    # _cluster_process); no exception may escape main and no nan reach stdout
+    b, flags, scaled, algorithm = case
+    x = np.random.default_rng(4).standard_normal((30, b))
+    x[15:, 0] += 8.0
+    values = {name: value for name, value in flags.items() if value is not None}
+    argv = [f"--{name}={value!r}" for name, value in values.items()]
+    argv += ["--standardize"] * scaled + ["--algorithm", algorithm]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(x, Path(tmp) / "data.csv")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always", RuntimeWarning)
+            code = main(["cluster", "--data", str(Path(tmp) / "data.csv"), "--restarts", "2",
+                         "--sweeps", "2", "--seed", "1", "--out", str(Path(tmp) / "r.json"),
+                         *argv])
+            if code == 0:
+                labels = read_result(Path(tmp) / "r.json")["labels"]
+        stdout, stderr = out.getvalue(), err.getvalue()
+    assert "nan" not in stdout.lower()
+    if code != 0:
+        assert code in (1, 3)
+        assert stdout == ""
+        last = stderr.splitlines()[-1]
+        assert last.startswith("error:" if code == 1 else "numerical error:")
+        return
+    k, icl = re.fullmatch(r"K = (\d+)\nICL_ex = (\S+)\n", stdout).groups()
+    data = standardize(DataSet(x))[0] if scaled else DataSet(x)
+    mu = np.full(b, values["mu"]) if "mu" in values else data.values.mean(axis=0)
+    alpha, tau = values.get("alpha", 4.0), values.get("tau", 0.01)
+    if b == 1:
+        params = UvHyperParams(alpha=alpha, tau=tau, mu=float(mu[0]),
+                               gamma=values.get("gamma", 0.5), delta=values.get("delta", 0.5))
+    else:
+        params = MvHyperParams(alpha=alpha, tau=tau, mu=mu, nu=values.get("nu", 3.0),
+                               omega=values.get("omega", 1.0))
+    assert math.isfinite(float(icl))
+    assert int(k) == max(labels)
+    assert float(icl) == icl_exact(data, np.array(labels), params).total

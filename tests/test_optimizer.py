@@ -126,37 +126,83 @@ def picker_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)), replay=draw(st.integers(0, run - 1)))
 
 
+def check_picker(case):
+    """neighbor_blocks against the one-visit oracle: the same sizes and draws,
+    each whole-group block its members in index order, every other block the
+    oracle's nearest-first prefix."""
+    data = DataSet(case["x"])
+    params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
+                           omega=1.0)
+    state = make_state(data, relabel_compact(case["labels"]), params)
+    order, dist = neighbor_order(data), distance_matrix(data)
+    batch, (beta1, beta2) = case["batch"], case["betas"]
+    rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
+    saved = rng.bit_generator.state
+    members, sizes = opt.neighbor_blocks(state, batch, order, beta1, beta2, rng)
+    expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin) for i in batch]
+    assert members.dtype == np.intp
+    assert sizes.tolist() == [len(block) for block in expected]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    kinds = set()
+    for i, block, oracle in zip(batch, np.split(members, np.cumsum(sizes)[:-1]), expected):
+        group = np.flatnonzero(state.labels == state.labels[i])
+        if block.size == group.size:
+            kinds.add("whole")
+            assert block.tolist() == group.tolist()
+            continue
+        kinds.add("single" if block.size == 1 else "partial")
+        assert block.tolist() == oracle.tolist()
+        # i first, then a prefix of its group ranked by (distance, index)
+        others = sorted((j for j in group if j != i), key=lambda j: (dist[i, j], j))
+        assert block.tolist() == [i] + others[:len(block) - 1]
+    # after an accepted visit j the loop rewinds and redraws the sizes up
+    # to j, which must leave the stream where one visit at a time does
+    j = case["replay"]
+    rng.bit_generator.state = saved
+    opt._block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(), beta1, beta2, rng)
+    twin = np.random.default_rng(case["seed"])
+    for i in batch[:j + 1]:
+        neighbor_block(i, state.labels, order, beta1, beta2, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return kinds
+
+
 class TestNeighborBlocks:
     @settings(max_examples=300, deadline=None)
     @given(case=picker_cases())
     def test_batched_picker_matches_one_visit_oracle(self, case):
-        data = DataSet(case["x"])
-        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
-                               omega=1.0)
-        state = make_state(data, relabel_compact(case["labels"]), params)
-        order, dist = neighbor_order(data), distance_matrix(data)
-        batch, (beta1, beta2) = case["batch"], case["betas"]
-        rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
-        saved = rng.bit_generator.state
-        members, sizes = opt.neighbor_blocks(state, batch, order, beta1, beta2, rng)
-        expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin) for i in batch]
-        assert sizes.tolist() == [len(block) for block in expected]
-        assert members.tolist() == np.concatenate(expected).tolist()
-        assert rng.bit_generator.state == twin.bit_generator.state
-        for i, block in zip(batch, np.split(members, np.cumsum(sizes)[:-1])):
-            # i first, then a prefix of its group ranked by (distance, index)
-            others = sorted((j for j in np.flatnonzero(state.labels == state.labels[i]) if j != i),
-                            key=lambda j: (dist[i, j], j))
-            assert block.tolist() == [i] + others[:len(block) - 1]
-        # after an accepted visit j the loop rewinds and redraws the sizes up
-        # to j, which must leave the stream where one visit at a time does
-        j = case["replay"]
-        rng.bit_generator.state = saved
-        opt._block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(), beta1, beta2, rng)
-        twin = np.random.default_rng(case["seed"])
-        for i in batch[:j + 1]:
-            neighbor_block(i, state.labels, order, beta1, beta2, twin)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        check_picker(case)
+
+    def test_uint16_order_with_whole_partial_and_single_blocks(self):
+        # n = 300 gives a uint16 order, past the property's n <= 14; four
+        # groups and a singleton, and U-shaped etas, put every kind in one run
+        rng = np.random.default_rng(5)
+        labels = np.append(rng.integers(1, 5, size=299), 5)
+        case = dict(x=rng.standard_normal((300, 2)), labels=labels,
+                    batch=np.append(rng.permutation(299)[:31], 299), betas=(0.5, 0.5),
+                    seed=3, replay=20)
+        assert neighbor_order(DataSet(case["x"])).dtype == np.uint16
+        assert check_picker(case) == {"whole", "partial", "single"}
+
+    def test_whole_group_blocks_do_not_read_the_order(self):
+        # eta -> 1 makes every block its whole group, which must come from the
+        # labels alone: permuting the visited rows of the order changes nothing
+        rng = np.random.default_rng(8)
+        data = DataSet(rng.standard_normal((40, 2)))
+        params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
+        state = make_state(data, relabel_compact(rng.integers(1, 5, size=40)), params)
+        batch = rng.permutation(40)[:16]
+        order = neighbor_order(data)
+        shuffled = order.copy()
+        shuffled[batch] = rng.permuted(order[batch], axis=1)
+        calls = []
+        for o in (order, shuffled):
+            picker_rng = np.random.default_rng(13)
+            members, sizes = opt.neighbor_blocks(state, batch, o, 1e6, 1e-9, picker_rng)
+            calls.append((members.tolist(), sizes.tolist(), picker_rng.bit_generator.state))
+        assert (shuffled[batch] != order[batch]).any()
+        assert calls[1] == calls[0]
+        assert calls[0][1] == state.counts[state.labels[batch] - 1].tolist()
 
 
 class TestGreedyIcl:
