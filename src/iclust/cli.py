@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation failure (flags, hyperparameters or data
 content), 2 I/O failure, 3 numerical failure in every restart. All commands
 are deterministic for a fixed --seed. The combined search builds one --metric
-neighbour order (2*n^2 bytes up to n = 65,536) per command for all restarts
-and grid points, and sweep runs its grid points one after another.
+neighbour order per command for all restarts and grid points (n^2 bytes up to
+n = 256, 2*n^2 up to 65,536, then 4*n^2); sweep runs its grid points in turn.
 """
 
 from __future__ import annotations

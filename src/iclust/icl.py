@@ -46,10 +46,11 @@ the same columns. It scores them in one evaluation of K + 1 rows per block,
 aligned with the state's rows, flagging each row whose posterior scale is
 not positive definite. Each row is one signed merge of the block into a
 state row, with weight m into a target and -m out of the source (Chan,
-Golub & LeVeque 1983), and each delta is the target's row gain plus the
-source's, evidence and lgamma(a + n_g), plus the change in the K term
-lgamma(K a) - lgamma(K a + n). Its MoveBatch is the only move record:
-apply_move writes one row into the state and raises on a flagged row.
+Golub & LeVeque 1983); a source column that the merge's rounding leaves not
+positive definite is rebuilt from its members. Each delta is the target's
+row gain plus the source's, evidence and lgamma(a + n_g), plus the change in
+the K term lgamma(K a) - lgamma(K a + n). Its MoveBatch is the only move
+record: apply_move writes one row into the state and raises on a flagged row.
 """
 
 from __future__ import annotations
@@ -355,10 +356,10 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     state row; only the other blocks' members are gathered and summed. Every
     one of the B (K + 1) after-move rows is one signed merge of the block's
     statistics into the state's row, and all of them go through one stacked
-    evidence evaluation;
-    the delta of target t is the row gains of t and of the source plus the
-    change in the K term. Each row gets the expressions a single block would
-    get, so row j is bit for bit best_move's for block j.
+    evidence evaluation; a source column that fails it is rebuilt from its
+    remaining members. The delta of target t is the row gains of t and of the
+    source plus the change in the K term. Each row gets the expressions a
+    single block would get, so row j is bit for bit best_move's for block j.
     """
     params = state.params
     alpha = params.alpha
@@ -414,7 +415,19 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     scat_stack[n_after <= 1] = 0.0
     ev_stack, bad = _batch_evidence(n_after.reshape(-1), means_stack.reshape(-1, b),
                                     scat_stack.reshape(-1, b, b), params, state.count_terms)
-    ev_stack = ev_stack.reshape(nb, k + 1)
+    ev_stack, bad = ev_stack.reshape(nb, k + 1), bad.reshape(nb, k + 1)
+    # the merge out of a source keeps rounding noise of about eps times its
+    # scatter, so a flagged source column that keeps members is rebuilt from
+    # them in index order, as refresh_state does; one still flagged stays so
+    redo = np.flatnonzero(bad[rows, s] & (n_after[rows, s] > 0)) if bad.any() else ()
+    if len(redo):
+        rs, r_sizes = s[redo], n_after[redo, s[redo]]
+        rest = [np.setdiff1d(np.flatnonzero(state.labels == sources[j]),
+                             members[bounds[j]:bounds[j + 1]]) for j in redo]
+        means_stack[redo, rs], scat_stack[redo, rs] = _block_stats(
+            state.columns, np.concatenate(rest), r_sizes, np.cumsum(r_sizes) - r_sizes)
+        ev_stack[redo, rs], bad[redo, rs] = _batch_evidence(
+            r_sizes, means_stack[redo, rs], scat_stack[redo, rs], params, state.count_terms)
 
     # each delta is the target's and the source's row gain, evidence and
     # lgamma(alpha + n_g), plus the change in the K term: filling the spare
@@ -439,7 +452,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     t = deltas.argmax(axis=1)            # first maximiser, smallest label
     return MoveBatch(
         members=members, bounds=bounds, sources=sources, targets=t + 1, gains=deltas[rows, t],
-        deltas=deltas, failed=bad.reshape(nb, k + 1).any(axis=1), counts=n_after,
+        deltas=deltas, failed=bad.any(axis=1), counts=n_after,
         means=means_stack, scatters=scat_stack, evidence=ev_stack,
     )
 

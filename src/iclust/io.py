@@ -141,7 +141,6 @@ def hyperparams_to_dict(params) -> dict:
             "mu": [float(v) for v in params.mu],
             "nu": params.nu,
             "omega": params.omega,
-            "xi": None if params.xi is None else [[float(v) for v in row] for row in params.xi],
         }
     if isinstance(params, UvHyperParams):
         return {

@@ -12,7 +12,7 @@ by exactly one search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -107,9 +107,12 @@ class MvHyperParams:
     mu      prior centre location, length b.
     nu      Wishart degrees of freedom, must exceed b - 1.
     omega   diagonal entry of the Wishart inverse scale matrix (omega * I).
-    xi      optional full positive definite inverse scale matrix; when given
-            it overrides omega. Kept as a validated input path only, the
-            command line exposes omega alone.
+
+    A full positive definite inverse scale xi = L L^t is this model at
+    omega = 1 on whitened data: for every allocation z,
+    ICL_ex(z; x, mu, xi) = ICL_ex(z; L^-1 x, L^-1 mu, omega = 1) - (n / 2) log|xi|,
+    as the evidence reads xi only in log|xi| and log|xi + S_g + c_g d d^t|
+    (icl's module docstring). So map the rows and mu by L^-1 to use one.
     """
 
     alpha: float
@@ -117,7 +120,6 @@ class MvHyperParams:
     mu: np.ndarray
     nu: float
     omega: float = 1.0
-    xi: Optional[np.ndarray] = None
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
@@ -132,34 +134,17 @@ class MvHyperParams:
         b = mu.size
         if not (np.isfinite(self.nu) and self.nu > b - 1):
             raise ValueError(f"nu must exceed b - 1 = {b - 1}, got {self.nu!r}")
-        if self.xi is not None:
-            xi = np.asarray(self.xi, dtype=float)
-            if xi.shape != (b, b):
-                raise ValueError(f"xi must be a {b}x{b} matrix")
-            if not np.allclose(xi, xi.T, rtol=0.0, atol=1e-12):
-                raise ValueError("xi must be symmetric")
-            xi = 0.5 * (xi + xi.T)
-            try:
-                chol = np.linalg.cholesky(xi)
-            except np.linalg.LinAlgError:
-                raise ValueError("xi must be positive definite") from None
-            logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-            xi.setflags(write=False)
-            object.__setattr__(self, "xi", xi)
-            object.__setattr__(self, "_scale", xi)
-        else:
-            scale = np.eye(b) * self.omega
-            scale.setflags(write=False)
-            logdet = b * float(np.log(self.omega))
-            object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_logdet_scale", logdet)
+        scale = np.eye(b) * self.omega
+        scale.setflags(write=False)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_logdet_scale", b * float(np.log(self.omega)))
 
     @property
     def b(self) -> int:
         return int(self.mu.size)
 
     def scale_matrix(self) -> np.ndarray:
-        """Inverse scale matrix of the precision prior (omega * I unless xi set)."""
+        """Read-only inverse scale matrix of the precision prior, omega * I."""
         return self._scale
 
     @property

@@ -81,12 +81,17 @@ def mvt_logpdf(x, loc, scale, df):
     )
 
 
-def mv_posterior(params: MvHyperParams, rows: np.ndarray):
-    """Posterior (tau, mu, nu, xi) after observing the given rows."""
+def mv_posterior(params: MvHyperParams, rows: np.ndarray, xi=None):
+    """Posterior (tau, mu, nu, xi) after observing the given rows.
+
+    xi is the prior's inverse scale matrix, params' omega * I when omitted;
+    any symmetric positive definite b x b matrix may stand in for it.
+    """
+    prior_xi = params.scale_matrix() if xi is None else np.asarray(xi, float)
     rows = np.atleast_2d(rows)
     m = rows.shape[0]
     if m == 0:
-        return params.tau, params.mu.copy(), params.nu, params.scale_matrix().copy()
+        return params.tau, params.mu.copy(), params.nu, prior_xi.copy()
     xbar = rows.mean(axis=0)
     centred = rows - xbar
     scatter = centred.T @ centred
@@ -94,24 +99,27 @@ def mv_posterior(params: MvHyperParams, rows: np.ndarray):
     mu_n = (params.tau * params.mu + m * xbar) / tau_n
     nu_n = params.nu + m
     d = xbar - params.mu
-    xi_n = params.scale_matrix() + scatter + (params.tau * m / tau_n) * np.outer(d, d)
+    xi_n = prior_xi + scatter + (params.tau * m / tau_n) * np.outer(d, d)
     return tau_n, mu_n, nu_n, xi_n
 
 
-def mv_predictive_logpdf(params: MvHyperParams, seen: np.ndarray, x: np.ndarray):
+def mv_predictive_logpdf(params: MvHyperParams, seen: np.ndarray, x: np.ndarray, xi=None):
     """Log density of the next observation given the ones already seen."""
-    tau_n, mu_n, nu_n, xi_n = mv_posterior(params, seen)
+    tau_n, mu_n, nu_n, xi_n = mv_posterior(params, seen, xi)
     b = params.b
     df = nu_n - b + 1
     scale = xi_n * (tau_n + 1.0) / (tau_n * df)
     return mvt_logpdf(x, mu_n, scale, df)
 
 
-def mv_evidence_chain_rule(params: MvHyperParams, rows: np.ndarray):
-    """Group evidence as a telescoping product of one-point predictives."""
+def mv_evidence_chain_rule(params: MvHyperParams, rows: np.ndarray, xi=None):
+    """Group evidence as a telescoping product of one-point predictives.
+
+    xi is the prior inverse scale, as in mv_posterior.
+    """
     rows = np.atleast_2d(rows)
     return math.fsum(
-        mv_predictive_logpdf(params, rows[:j], rows[j]) for j in range(rows.shape[0])
+        mv_predictive_logpdf(params, rows[:j], rows[j], xi) for j in range(rows.shape[0])
     )
 
 

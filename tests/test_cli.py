@@ -215,6 +215,35 @@ class TestSweepCommand:
             assert printed.split()[2] == cells[2]
             assert printed.split()[3] == f"{float(cells[3]):.2f}"
 
+    def test_plain_sweep_rows_are_multi_start_runs(self, capsys, monkeypatch, tmp_path,
+                                                   cluster_csv):
+        import iclust.optimizer as opt
+        from iclust import SearchConfig, multi_start
+
+        def no_order(*args, **kwargs):
+            raise AssertionError("the plain search builds no neighbour order")
+
+        monkeypatch.setattr(cli, "neighbor_order", no_order)
+        monkeypatch.setattr(opt, "neighbor_order", no_order)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, [
+            "sweep", "--data", str(cluster_csv), "--seed", "4", "--algorithm", "plain",
+            "--tau-grid", "0.1,0.01", "--restarts", "2", "--sweeps", "5", "--out", str(out),
+        ])
+        assert code == 0, err
+        data = read_csv(cluster_csv)
+        master = np.random.SeedSequence(4)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for idx, (row, tau) in enumerate(zip(rows, (0.1, 0.01))):
+            seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,))
+                       .generate_state(1)[0])
+            params = MvHyperParams(alpha=4.0, tau=tau, mu=data.values.mean(axis=0), nu=3.0,
+                                   omega=1.0)
+            sol = multi_start(data, params, SearchConfig(max_sweeps=5, restarts=2, seed=seed),
+                              algorithm="plain")
+            assert row.split(",") == [repr(tau), str(sol.K), repr(sol.icl), ""]
+
     def test_no_grid_flags_exits_1(self, capsys, cluster_csv):
         code, _, err = run(capsys, ["sweep", "--data", str(cluster_csv)])
         assert code == 1
@@ -427,6 +456,29 @@ def test_standardized_huge_data_clusters_as_unscaled(tmp_path):
     assert int(huge[0]) == int(unscaled[0]) > 1
     assert math.isfinite(float(huge[1]))
     assert float(huge[1]) == pytest.approx(float(unscaled[1]), rel=1e-9)
+
+
+# 145 rows, each one of the four points (+-1e7, +-1e7), by quadrant index
+_QUADRANTS = ("2332333012112320230213013103333123232012121302002111321331000222332201"
+              "330112011032032021113030330301220013120331311103012103330111032001330310300")
+
+
+def test_near_duplicate_corners_cluster_without_a_numerical_error(capsys, tmp_path):
+    # moving a point out of a group of near-duplicates leaves a scatter near
+    # 0 that the signed merge computes with rounding noise far above xi; that
+    # column is rebuilt from the group's members, so no restart aborts
+    corners = np.array([[1e7, 1e7], [1e7, -1e7], [-1e7, 1e7], [-1e7, -1e7]])
+    x = corners[[int(q) for q in _QUADRANTS]]
+    path, out = tmp_path / "corners.csv", tmp_path / "r.json"
+    write_csv(x, path)
+    code, stdout, err = run(capsys, ["cluster", "--data", str(path), "--restarts", "2",
+                                     "--sweeps", "2", "--seed", "1", "--out", str(out)])
+    assert code == 0, err
+    doc = read_result(out)
+    assert None not in doc["restart_best"]
+    params = MvHyperParams(alpha=4.0, tau=0.01, mu=x.mean(axis=0), nu=3.0, omega=1.0)
+    icl = float(re.fullmatch(r"K = \d+\nICL_ex = (\S+)\n", stdout).group(1))
+    assert icl == icl_exact(DataSet(x), np.array(doc["labels"]), params).total
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--nu"])

@@ -151,15 +151,35 @@ class TestUnivariateEvidence:
 
 class TestFullScaleMatrix:
     def test_full_xi_chain_rule(self):
-        # non-diagonal inverse scale at b=3 exercises the general
-        # factorization branch
-        rng = np.random.default_rng(21)
-        a = rng.normal(size=(3, 3))
-        xi = a @ a.T + 3.0 * np.eye(3)
-        params = MvHyperParams(alpha=1.0, tau=0.4, mu=rng.normal(size=3), nu=4.5, xi=xi)
-        rows = rng.normal(size=(6, 3))
-        ev = group_log_evidence(GroupStats.from_points(rows), params)
-        assert ev == pytest.approx(mv_evidence_chain_rule(params, rows), abs=1e-9)
+        # a full inverse scale xi = L L^t is the omega = 1 model on rows and
+        # mu mapped by L^-1, less the Jacobian (n_g / 2) log|xi|; the oracle
+        # takes xi itself and exercises the general factorization branch
+        for b in (2, 3):
+            rng = np.random.default_rng(21 + b)
+            a = rng.normal(size=(b, b))
+            xi = a @ a.T + 3.0 * np.eye(b)
+            assert np.count_nonzero(xi - np.diag(np.diag(xi))) == b * (b - 1)
+            chol = np.linalg.cholesky(xi)
+            log_det_xi = 2.0 * float(np.log(np.diag(chol)).sum())
+            mu = rng.normal(size=b)
+            params = MvHyperParams(alpha=1.0, tau=0.4, mu=mu, nu=b + 1.5)
+            white = MvHyperParams(alpha=1.0, tau=0.4, mu=np.linalg.solve(chol, mu), nu=b + 1.5,
+                                  omega=1.0)
+            rows = rng.normal(size=(6, b))
+            rows_white = np.linalg.solve(chol, rows.T).T
+            ev = group_log_evidence(GroupStats.from_points(rows_white), white) - 3.0 * log_det_xi
+            assert ev == pytest.approx(mv_evidence_chain_rule(params, rows, xi), abs=1e-9)
+
+            # the same identity over a whole allocation, with n / 2
+            x = rng.normal(size=(40, b))
+            z = relabel_compact(rng.integers(1, 5, size=40))
+            assert z.K > 1
+            labels = z.labels
+            oracle = math.fsum(mv_evidence_chain_rule(params, x[labels == g], xi)
+                               for g in range(1, z.K + 1))
+            oracle += allocation_log_prior(np.bincount(labels)[1:], params.alpha, 40)
+            value = icl_exact(DataSet(np.linalg.solve(chol, x.T).T), z, white).total
+            assert value - 20.0 * log_det_xi == pytest.approx(oracle, abs=1e-9)
 
     def test_non_pd_posterior_raises_numerical_error(self):
         # a corrupted scatter (impossible through the public API) must
@@ -520,6 +540,7 @@ class TestMoveBatch:
         params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(3), nu=4.0, omega=1.0)
         state = make_state(data, np.repeat([1, 2, 3], 6), params)
         state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(3)
+        state.columns[:, 1:6] = np.nan  # so the rebuilt source column fails too
         moves = _stacked(state, [np.array([6]), np.array([0])])
         assert moves.failed.tolist() == [False, True]
         before = _state_bytes(state)
@@ -540,7 +561,8 @@ class TestMoveBatch:
         # API) leaves every merge into group 1 positive definite, while taking
         # one point out of group 1 leaves a posterior scale with a negative
         # eigenvalue; b = 1 and 2 take the closed form, and at b = 3 this
-        # sends the stacked Cholesky down its per-matrix fallback
+        # sends the stacked Cholesky down its per-matrix fallback. Group 1's
+        # members 2..5 are NaN, so the source column rebuilt from them fails too
         from iclust import NumericalError
 
         rng = np.random.default_rng(7)
@@ -548,6 +570,7 @@ class TestMoveBatch:
         params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(b), nu=b + 1.0, omega=1.0)
         state = make_state(data, np.repeat([1, 2, 3], 6), params)
         state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(b)
+        state.columns[:, 2:6] = np.nan
         blocks = [np.array([i]) for i in (0, 6, 1, 12, 7)]
         moves = _stacked(state, blocks)
         assert moves.failed.tolist() == [True, False, True, False, False]
@@ -558,6 +581,30 @@ class TestMoveBatch:
             else:
                 assert np.isfinite(moves.deltas[j]).all()
                 assert _same_row(moves, j, best_move(state, block))
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_flagged_source_column_is_rebuilt_from_its_members(self, b):
+        # the construction above with group 1's members intact: the source
+        # column of a move out of group 1 is rebuilt from the members left,
+        # as refresh_state builds that group, so no row is flagged; a row
+        # with no flagged column is still best_move's
+        rng = np.random.default_rng(7)
+        data = DataSet(rng.standard_normal((18, b)) * 3.0)
+        params = MvHyperParams(alpha=2.0, tau=0.1, mu=np.zeros(b), nu=b + 1.0, omega=1.0)
+        labels = np.repeat([1, 2, 3], 6)
+        state = make_state(data, labels, params)
+        state.scatters[0] = -params.scale_matrix() + 1e-6 * np.eye(b)
+        blocks = [np.array([0]), np.array([6]), np.array([3, 1])]
+        moves = _stacked(state, blocks)
+        assert not moves.failed.any()
+        for j in (0, 2):
+            moved = labels.copy()
+            moved[blocks[j]] = 2
+            fresh = make_state(data, moved, params)
+            for f, row in (("means", fresh.means[0]), ("scatters", fresh.scatters[0]),
+                           ("evidence", fresh.group_evidence[0])):
+                assert getattr(moves, f)[j, 0].tobytes() == row.tobytes()
+        assert _same_row(moves, 1, best_move(state, blocks[1]))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -79,6 +80,15 @@ class TestHyperParams:
         p = MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(2), nu=3.0, omega=1.0)
         assert validate_hyperparams(p, 2) is p
 
+    def test_scale_is_a_read_only_omega_identity(self):
+        # a full inverse scale is the omega = 1 model on whitened data
+        # (test_icl's test_full_xi_chain_rule), so omega is the only scale field
+        p = MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(3), nu=4.0, omega=0.5)
+        assert [f.name for f in dataclasses.fields(p)] == ["alpha", "tau", "mu", "nu", "omega"]
+        assert p.scale_matrix().tolist() == (0.5 * np.eye(3)).tolist()
+        assert not p.scale_matrix().flags.writeable
+        assert p.log_det_scale == 3 * float(np.log(0.5))
+
     def test_nu_at_most_b_minus_1_rejected(self):
         with pytest.raises(ValueError, match="nu"):
             MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(2), nu=1.0, omega=1.0)
@@ -109,18 +119,6 @@ class TestHyperParams:
     def test_uv_positivity(self):
         with pytest.raises(ValueError, match="delta"):
             UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=0.5, delta=-1.0)
-
-    def test_full_xi_accepted(self):
-        xi = np.array([[2.0, 0.3], [0.3, 1.0]])
-        p = MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(2), nu=3.0, xi=xi)
-        assert np.allclose(p.scale_matrix(), xi)
-        chol = np.linalg.cholesky(xi)
-        assert p.log_det_scale == pytest.approx(2 * np.log(np.diag(chol)).sum(), abs=1e-14)
-
-    def test_non_pd_xi_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            MvHyperParams(alpha=4.0, tau=0.01, mu=np.zeros(2), nu=3.0,
-                          xi=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestGroupStats:

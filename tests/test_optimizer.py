@@ -656,6 +656,52 @@ class TestNeverNaN:
 
 
 @st.composite
+def near_duplicate_searches(draw):
+    # a few distinct points, each repeated, mirrored through a centre point
+    # and moved by an offset of either sign, under the command line's default
+    # prior: mu is the data centre, so a group of centre copies has d ~ 0 and
+    # only xi keeps its posterior scale positive definite once a far member
+    # leaves it.
+    # Bounds. At b = 1 every exact posterior scale is xi + S + c d^2, a sum of
+    # non-negative terms; with |x| <= 2e100 < 2^334 and n <= 210, no square
+    # (< 2^670), scatter or merge term (< 2^690) comes near the 2^1024
+    # overflow. At b = 2 the kernel's closed-form determinant a d - b^2 of
+    # P = I + M is at least 1 + tr M and is rounded by about 3 n eps (tr P)^2;
+    # with |x - mu| <= 2e4 per coordinate, tr P <= 2 + 211 * 2 * (2e4)^2 <
+    # 2^38, so that error stays below 4% of the determinant.
+    b = draw(st.integers(1, 2))
+    top = draw(st.integers(0, 100 if b == 1 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)), b)
+    pairs = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(top - 3, top, size=shape)
+    counts = draw(st.lists(st.integers(1, 30), min_size=len(pairs), max_size=len(pairs)))
+    centre = draw(st.integers(0, 30))
+    x = np.concatenate([np.zeros((centre, b)), np.repeat(pairs, counts, axis=0),
+                        np.repeat(-pairs, counts, axis=0)])
+    offset = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** draw(st.integers(0, top))
+    data = DataSet(x[rng.permutation(len(x))] + offset)
+    mu = data.values.mean(axis=0)
+    if b == 1:
+        params = UvHyperParams(alpha=4.0, tau=0.01, mu=float(mu[0]), gamma=0.5, delta=0.5)
+    else:
+        params = MvHyperParams(alpha=4.0, tau=0.01, mu=mu, nu=3.0, omega=1.0)
+    return data, params, draw(st.integers(0, 99))
+
+
+class TestNearDuplicates:
+    @settings(max_examples=60, deadline=None)
+    @given(case=near_duplicate_searches())
+    def test_every_restart_ends_at_its_exact_finite_icl(self, case):
+        data, params, seed = case
+        for algorithm in ("plain", "combined"):
+            sol = multi_start(data, params, SearchConfig(max_sweeps=2, restarts=2, seed=seed),
+                              algorithm=algorithm)
+            assert None not in sol.restart_bests
+            assert np.isfinite(sol.icl)
+            assert sol.icl == icl_exact(data, sol.allocation, params).total
+
+
+@st.composite
 def shifted_searches(draw):
     # data and mu on a 2^-20 grid with |x| < 2^10 and an integer shift with
     # |c| <= 2^20, so x + c and mu + c are exact and so is (x + c) - (mu + c)
