@@ -9,9 +9,9 @@ Each ROOT is a source checkout with its own perfbench/. Pair i runs
 both checkouts, one after the other, for each workload in turn; which side
 runs first is drawn from a generator seeded with --seed0, so the order is
 random but repeatable. Two copies of the same tree give an A/A run, the
-spread to read an A/B run against. Give both sides the same bytecode state:
+spread to read an A/B run against. Both sides need the same bytecode state:
 a src/iclust/__pycache__ on one side only lowers that side's setup_s and
-peak RSS.
+peak RSS, so the script exits 2 before any run, naming that side's root.
 
 Every run's metrics go to stderr as it ends. The report then gives, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
@@ -68,6 +68,11 @@ def main(argv=None) -> int:
     workloads = [w for w in args.workloads.split(",") if w]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     roots = {"A": args.a_root.resolve(), "B": args.b_root.resolve()}
+    cached = [root for root in roots.values() if (root / "src/iclust/__pycache__").is_dir()]
+    if len(cached) == 1:
+        print(f"error: only {cached[0]} has src/iclust/__pycache__; remove it or give "
+              "the other root one too", file=sys.stderr)
+        return 2
 
     order = random.Random(args.seed0)
     values = {(w, side): [] for w in workloads for side in roots}

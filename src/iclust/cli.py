@@ -10,10 +10,10 @@ n = 256, 2*n^2 up to 65,536, then 4*n^2); sweep runs its grid points in turn.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -50,30 +50,33 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma separated list of numbers, got {text!r}")
 
 
+# search flag -> SearchConfig field; each flag takes its field's default
+_SEARCH_FLAGS = {"restarts": "restarts", "sweeps": "max_sweeps", "beta1": "beta1",
+                 "beta2": "beta2", "kmax": "k_max"}
+# grid fields in nesting order, leftmost varies slowest
+_GRID_FIELDS = ("tau", "omega", "delta", "alpha", "nu", "beta1", "beta2")
+# a valid value of each grid field; None takes the family default
+_STAND_INS = dict(tau=1.0, omega=None, delta=None, alpha=1.0, nu=None, beta1=1.0, beta2=1.0)
+
+
 def _add_run_flags(p):
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--sweeps", type=int, default=15)
-    p.add_argument("--beta1", type=float, default=0.1)
-    p.add_argument("--beta2", type=float, default=0.01)
-    p.add_argument("--kmax", type=int, default=20)
+    for flag, name in _SEARCH_FLAGS.items():
+        default = getattr(SearchConfig, name)
+        p.add_argument(f"--{flag}", type=type(default), default=default)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--metric", choices=["euclidean", "manhattan"], default="euclidean")
     p.add_argument("--algorithm", choices=["combined", "plain"], default="combined")
 
 
-def _add_family_flags(p):
+def _add_hyper_flags(p, mu_default="the data centre"):
+    p.add_argument("--alpha", type=float, default=4.0)
+    p.add_argument("--tau", type=float, default=0.01)
+    p.add_argument("--mu", type=str, default=None,
+                   help=f"scalar or comma separated vector; defaults to {mu_default}")
     p.add_argument("--omega", type=float, default=None, help="multivariate; defaults to 1")
     p.add_argument("--nu", type=float, default=None, help="multivariate; defaults to b + 1")
     p.add_argument("--gamma", type=float, default=None, help="univariate shape; defaults to 0.5")
     p.add_argument("--delta", type=float, default=None, help="univariate rate; defaults to 0.5")
-
-
-def _add_hyper_flags(p):
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--mu", type=str, default=None,
-                   help="scalar or comma separated vector; defaults to the data centre")
-    _add_family_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,10 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--mu", type=str, default=None, help="defaults to the origin")
-    _add_family_flags(p)
+    _add_hyper_flags(p, mu_default="the origin")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-labels", required=True)
@@ -107,13 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--out", type=str, default=None, help="full precision CSV of the table")
-    p.add_argument("--alpha-grid", type=_float_list, default=None)
-    p.add_argument("--tau-grid", type=_float_list, default=None)
-    p.add_argument("--omega-grid", type=_float_list, default=None)
-    p.add_argument("--delta-grid", type=_float_list, default=None)
-    p.add_argument("--nu-grid", type=_float_list, default=None)
-    p.add_argument("--beta1-grid", type=_float_list, default=None)
-    p.add_argument("--beta2-grid", type=_float_list, default=None)
+    for name in _GRID_FIELDS:
+        p.add_argument(f"--{name}-grid", type=_float_list, default=None)
     _add_hyper_flags(p)
     _add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -146,16 +141,17 @@ def _family_values(args, b: int) -> dict:
     """The scalar prior flags of the family of b-column data, defaults filled in.
 
     Univariate data takes --gamma and --delta (0.5 each by default),
-    multivariate data --nu (b + 1) and --omega (1). A flag of the other family
-    is an error, not silently ignored.
+    multivariate data --nu (b + 1) and --omega (1). A scalar or grid flag of
+    the other family is an error, not silently ignored; grids are named first.
     """
     if b == 1:
         defaults, other, kind = {"gamma": 0.5, "delta": 0.5}, ("nu", "omega"), "univariate"
     else:
         defaults, other, kind = {"nu": b + 1, "omega": 1.0}, ("gamma", "delta"), "multivariate"
-    for name in other:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name} does not apply to {kind} data")
+    stray = [f"{n}-grid" for n in _GRID_FIELDS if n in other and getattr(args, f"{n}_grid", None)]
+    stray += [n for n in other if getattr(args, n) is not None]
+    if stray:
+        raise ValueError(f"--{stray[0]} does not apply to {kind} data")
     given = {name: getattr(args, name) for name in defaults}
     return {name: defaults[name] if v is None else v for name, v in given.items()}
 
@@ -170,14 +166,8 @@ def _build_params(args, b: int, default_mu: np.ndarray):
 
 
 def _search_config(args):
-    return SearchConfig(
-        max_sweeps=args.sweeps,
-        restarts=args.restarts,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        k_max=args.kmax,
-        seed=args.seed,
-    )
+    return SearchConfig(seed=args.seed,
+                        **{name: getattr(args, flag) for flag, name in _SEARCH_FLAGS.items()})
 
 
 def _load_data(args):
@@ -224,75 +214,52 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# grid fields in nesting order, leftmost varies slowest
-_GRID_FIELDS = ("tau", "omega", "delta", "alpha", "nu", "beta1", "beta2")
-# a valid value of each grid field; None takes the family default
-_STAND_INS = dict(tau=1.0, omega=None, delta=None, alpha=1.0, nu=None, beta1=1.0, beta2=1.0)
-
-
-def _grid_rows(args, b: int):
-    grids = {}
-    for name in _GRID_FIELDS:
-        values = getattr(args, f"{name}_grid")
-        if values:
-            if b == 1 and name in ("omega", "nu"):
-                raise ValueError(f"--{name}-grid does not apply to univariate data")
-            if b > 1 and name == "delta":
-                raise ValueError("--delta-grid does not apply to multivariate data")
-            grids[name] = values
-    varied = [name for name in _GRID_FIELDS if name in grids]
+def _grid_rows(args):
+    varied = [name for name in _GRID_FIELDS if getattr(args, f"{name}_grid")]
     if not varied:
         raise ValueError("no grid flags given; nothing to sweep")
-    rows = [dict(zip(varied, combo)) for combo in itertools.product(*(grids[v] for v in varied))]
-    return varied, rows
+    grids = (getattr(args, f"{name}_grid") for name in varied)
+    return varied, [dict(zip(varied, combo)) for combo in itertools.product(*grids)]
 
 
 def cmd_sweep(args) -> int:
     data = _load_data(args)
-    varied, rows = _grid_rows(args, data.b)
+    varied, rows = _grid_rows(args)
     # a bad flag that no grid overrides fails here, before the order is built
     stand_ins = argparse.Namespace(**{**vars(args), **{name: _STAND_INS[name] for name in varied}})
     _build_params(stand_ins, data.b, data.values.mean(axis=0))
     _search_config(stand_ins)
     order = neighbor_order(data, args.metric) if args.algorithm == "combined" else None
     master = np.random.SeedSequence(args.seed)
-    results = []
+    # each row's table cells, and its CSV record in shortest round-trip floats:
+    # exact on re-read, unlike the rounded table
+    table, records = [], []
     for idx, row in enumerate(rows):
         seed = int(np.random.SeedSequence(entropy=master.entropy, spawn_key=(idx,)).generate_state(1)[0])
         point = argparse.Namespace(**{**vars(args), **row, "seed": seed})
         try:
             params = _build_params(point, data.b, data.values.mean(axis=0))
             config = _search_config(point)
-            results.append((multi_start(data, params, config, order, algorithm=args.algorithm), None))
+            sol = multi_start(data, params, config, order, algorithm=args.algorithm)
         except (ValueError, NumericalError) as exc:
             # a bad grid point is reported in its row, the sweep goes on
-            results.append((None, str(exc)))
+            cells, fields = ["-", f"failed: {exc}"], ["", "", str(exc)]
+        else:
+            cells, fields = [str(sol.K), f"{sol.icl:.2f}"], [str(sol.K), repr(sol.icl), ""]
+        table.append([f"{row[v]:g}" for v in varied] + cells)
+        records.append([repr(row[v]) for v in varied] + fields)
 
     headers = list(varied) + ["k", "ICL_ex"]
-    table = []
-    for row, (sol, err) in zip(rows, results):
-        cells = [f"{row[v]:g}" for v in varied]
-        if sol is None:
-            cells += ["-", f"failed: {err}"]
-        else:
-            cells += [str(sol.K), f"{sol.icl:.2f}"]
-        table.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
     print("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
     for cells in table:
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
 
     if args.out:
-        # shortest round-trip floats: exact on re-read, unlike the rounded table
-        lines = [",".join(list(varied) + ["k", "icl_ex", "error"])]
-        for row, (sol, err) in zip(rows, results):
-            cells = [repr(row[v]) for v in varied]
-            if sol is None:
-                cells += ["", "", err]
-            else:
-                cells += [str(sol.K), repr(sol.icl), ""]
-            lines.append(",".join(cells))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the csv module quotes an error text that holds a comma or a quote
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [list(varied) + ["k", "icl_ex", "error"]] + records)
     return 0
 
 

@@ -81,10 +81,9 @@ def sample_dataset(n: int, K: int, params: HyperParams, rng) -> GeneratedSample:
     lam = rng.dirichlet(np.full(K, params.alpha))
     z_raw = rng.choice(K, size=n, p=lam) + 1
 
-    # xi is the inverse scale of the precision prior, so the Bartlett factor
-    # uses a square root of xi^{-1}
-    chol_xi = np.linalg.cholesky(params.scale_matrix())
-    scale_root = np.linalg.inv(chol_xi).T
+    # xi = omega I is the inverse scale of the precision prior, so the Bartlett
+    # factor uses xi^{-1}'s square root I / sqrt(omega)
+    scale_root = np.eye(b) / np.sqrt(params.omega)
 
     centres = np.empty((K, b))
     precisions = np.empty((K, b, b))

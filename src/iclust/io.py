@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -133,24 +134,11 @@ def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
 
 
 def hyperparams_to_dict(params) -> dict:
-    if isinstance(params, MvHyperParams):
-        return {
-            "family": "multivariate",
-            "alpha": params.alpha,
-            "tau": params.tau,
-            "mu": [float(v) for v in params.mu],
-            "nu": params.nu,
-            "omega": params.omega,
-        }
-    if isinstance(params, UvHyperParams):
-        return {
-            "family": "univariate",
-            "alpha": params.alpha,
-            "tau": params.tau,
-            "mu": params.mu,
-            "gamma": params.gamma,
-            "delta": params.delta,
-        }
+    """The prior's dataclass fields by name, mu as plain Python numbers, and its family."""
+    for cls, family in ((MvHyperParams, "multivariate"), (UvHyperParams, "univariate")):
+        if isinstance(params, cls):
+            doc = {f.name: getattr(params, f.name) for f in dataclasses.fields(cls)}
+            return {**doc, "family": family, "mu": np.asarray(params.mu).tolist()}
     raise TypeError(f"unsupported hyperparameter type {type(params).__name__}")
 
 

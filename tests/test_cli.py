@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -248,15 +249,22 @@ class TestSweepCommand:
         code, _, err = run(capsys, ["sweep", "--data", str(cluster_csv)])
         assert code == 1
 
-    def test_failed_grid_point_reported_in_row(self, capsys, cluster_csv):
+    def test_failed_grid_point_reported_in_row(self, capsys, tmp_path, cluster_csv):
+        out = tmp_path / "sweep.csv"
         code, stdout, _ = run(capsys, [
             "sweep", "--data", str(cluster_csv), "--seed", "4",
-            "--tau-grid", "0.1,-1", "--restarts", "2", "--sweeps", "4",
+            "--tau-grid", "0.1,-1", "--restarts", "2", "--sweeps", "4", "--out", str(out),
         ])
         assert code == 0
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         assert len(lines) == 3
         assert "failed" in lines[2]
+        # the failed row's error text holds a comma and still reads back as one cell
+        with open(out, encoding="utf-8", newline="") as fh:
+            good, bad = csv.DictReader(fh)
+        assert good["error"] == "" and int(good["k"]) == int(lines[1].split()[1])
+        assert bad == {"tau": "-1.0", "k": "", "icl_ex": "",
+                       "error": "tau must be strictly positive, got -1.0"}
 
     def test_sweep_whose_every_grid_point_fails_reports_each_row(self, capsys, tmp_path,
                                                                   cluster_csv):
@@ -268,7 +276,10 @@ class TestSweepCommand:
         assert code == 0
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         assert len(lines) == 2 and "failed: tau" in lines[1]
-        assert out.read_text().splitlines()[1].startswith("-1.0,,,tau")
+        with open(out, encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row == {"tau": "-1.0", "k": "", "icl_ex": "",
+                       "error": "tau must be strictly positive, got -1.0"}
 
     @pytest.mark.parametrize("flag,value,name", [("--beta1", "inf", "beta1"),
                                                  ("--alpha", "-1", "alpha")])
@@ -293,12 +304,19 @@ class TestSweepCommand:
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         assert "failed" not in lines[1] and "failed: alpha" in lines[2]
 
-    def test_delta_grid_rejected_for_multivariate(self, capsys, cluster_csv):
-        code, _, err = run(capsys, [
-            "sweep", "--data", str(cluster_csv), "--delta-grid", "1,0.1",
+    @pytest.mark.parametrize("flag,kind", [("--omega-grid", "univariate"),
+                                           ("--nu-grid", "univariate"),
+                                           ("--delta-grid", "multivariate")])
+    def test_other_family_grid_rejected(self, capsys, monkeypatch, cluster_csv, galaxy_path,
+                                        flag, kind):
+        # judged with the other family's scalar flags, before the order is built
+        monkeypatch.setattr(cli, "neighbor_order", None)
+        data = galaxy_path if kind == "univariate" else cluster_csv
+        code, stdout, err = run(capsys, [
+            "sweep", "--data", str(data), "--tau-grid", "0.1", flag, "1,0.1",
         ])
-        assert code == 1
-        assert "univariate" in err or "delta" in err
+        assert code == 1 and stdout == ""
+        assert err == f"error: {flag} does not apply to {kind} data\n"
 
 
 def test_galaxy_cli_run(capsys, tmp_path, galaxy_path):
