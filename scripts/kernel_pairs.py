@@ -1,4 +1,4 @@
-"""Time the move kernel and the block picker of two checkouts side by side, in alternating pairs.
+"""Time the move kernel, the block picker and the order build of two checkouts, in pairs.
 
 Usage:
     python3 scripts/kernel_pairs.py A_ROOT B_ROOT [--pairs 30] [--calls 200]
@@ -25,10 +25,18 @@ galaxy grid (n = 82, b = 1) and of cluster-3000 (n = 3000, b = 3), each with
 The visits and the size draws come from fixed seeds, the same on both sides,
 and the "whole %" column gives the share of whole-group blocks among them.
 
-A pair times --calls calls on each side, the side that runs first
-alternating from pair to pair. The report gives each side's median µs per
-call over the pairs and how many pairs each side won; a pair of equal times
-counts for neither. No file is written.
+Last, io.neighbor_order is timed, in µs per build, under both metrics on
+standard normal data at the galaxy grid's size (n = 82, b = 1), at the
+criterion-8 grid's (n = 600, b = 2) and at cluster-3000's (n = 3000, b = 3),
+and on a tie-heavy 3000 x 2 grid of integers in [-20, 20], where nearly every
+row has tied distances and is re-sorted stably. A timing builds the order
+max(1, calls * 82^2 // n^2) times, so --calls builds at n = 82 and one at
+n = 3000.
+
+A pair times --calls calls (or the builds above) on each side, the side
+that runs first alternating from pair to pair. The report gives each side's
+median µs per call (or build) over the pairs and how many pairs each side
+won; a pair of equal times counts for neither. No file is written.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15
 PICKER_SIZES = ((82, 1), (3000, 3))
 PICKER_CASES = (("whole", 1e6, 1e-9), ("mixed", 0.2, 0.04), ("partial", 2.0, 2.0))
 PICKER_RUN, PICKER_GROUPS = 32, 5
+ORDER_CASES = (("normal", 82, 1), ("normal", 600, 2), ("normal", 3000, 3), ("tied grid", 3000, 2))
 
 
 def _load(root: Path, name: str):
@@ -102,6 +111,15 @@ def _whole_share(pkg, state, order, batches, betas, calls):
         whole += int((sizes == state.counts[state.labels[batch] - 1]).sum())
         total += sizes.size
     return 100.0 * whole / total
+
+
+def _order_us(pkg, x, metric, builds):
+    """µs per neighbor_order build of x over builds builds."""
+    data = pkg.DataSet(x)
+    start = time.perf_counter()
+    for _ in range(builds):
+        pkg.io.neighbor_order(data, metric)
+    return (time.perf_counter() - start) / builds * 1e6
 
 
 def _report(name, times, extra=""):
@@ -166,6 +184,16 @@ def main(argv=None) -> int:
             share = _whole_share(sides[0], states[0], orders[0], batches, (beta1, beta2),
                                  args.calls)
             _report(f"n={n:<5} {name:>10}", times, f" {share:8.1f}")
+
+    print(f"\n{'order build':>26} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6}")
+    for name, n, b in ORDER_CASES:
+        rng = np.random.default_rng(n + b)
+        x = (rng.integers(-20, 21, size=(n, b)).astype(float) if name == "tied grid"
+             else rng.standard_normal((n, b)))
+        builds = max(1, args.calls * 82 ** 2 // n ** 2)
+        for metric in ("euclidean", "manhattan"):
+            times = _pairs(lambda i: _order_us(sides[i], x, metric, builds), args.pairs)
+            _report(f"{name:>9} {f'{n}x{b}':>6} {metric:>9}", times)
     return 0
 
 

@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 validation failure (flags, hyperparameters or data
 content), 2 I/O failure, 3 numerical failure in every restart. All commands
 are deterministic for a fixed --seed. The combined search builds one --metric
 neighbour order per command for all restarts and grid points (n^2 bytes up to
-n = 256, 2*n^2 up to 65,536, then 4*n^2); sweep runs its grid points in turn.
+n = 256, 2*n^2 up to 65,536, then 4*n^2), sorting each row as packed
+(distance, index) integer keys in two reused 64 x n float buffers; a row with
+keys that share their distance bits is re-sorted stably from its exact
+distances. sweep runs its grid points in turn. A cluster or sweep output
+whose directory does not exist fails (exit 2) before the data is read.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import itertools
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -170,6 +175,13 @@ def _search_config(args):
                         **{name: getattr(args, flag) for flag, name in _SEARCH_FLAGS.items()})
 
 
+def _check_out_dirs(*paths):
+    """Fail (exit 2) on an output whose directory does not exist, before any work."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no such directory: {Path(path).parent}")
+
+
 def _load_data(args):
     data = read_csv(args.data)
     if args.standardize:
@@ -178,6 +190,7 @@ def _load_data(args):
 
 
 def cmd_cluster(args) -> int:
+    _check_out_dirs(args.out, args.plot_data)
     data = _load_data(args)
     params = _build_params(args, data.b, data.values.mean(axis=0))
     config = _search_config(args)
@@ -223,6 +236,7 @@ def _grid_rows(args):
 
 
 def cmd_sweep(args) -> int:
+    _check_out_dirs(args.out)
     data = _load_data(args)
     varied, rows = _grid_rows(args)
     # a bad flag that no grid overrides fails here, before the order is built

@@ -87,22 +87,27 @@ def standardize(data: DataSet):
     return DataSet((values - means) / sds), np.ldexp(means, exps), np.ldexp(sds, exps)
 
 
-def _distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
+def _distances(rows: np.ndarray, x: np.ndarray, metric: str, total=None, diff=None) -> np.ndarray:
     """Distances from each of `rows` to every row of x, shape (len(rows), n).
 
     The squared (or absolute) differences are added one column at a time, in
-    column order, so only two (len(rows), n) arrays are held. For b <= 7 that
-    is the order of numpy's sum over a last axis of b terms, so the bits are
-    those of np.sqrt(np.sum(diff * diff, axis=-1)); from b = 8 numpy sums
-    pairwise and the two can differ in the last place.
+    column order, so only two (len(rows), n) arrays are held: total, which is
+    returned, and diff, its scratch. Either can be given as a buffer of that
+    shape. For b <= 7 that is the order of numpy's sum over a last axis of b
+    terms, so the bits are those of np.sqrt(np.sum(diff * diff, axis=-1));
+    from b = 8 numpy sums pairwise and the two can differ in the last place.
     """
     if metric not in ("euclidean", "manhattan"):
         raise ValueError(f"metric must be 'euclidean' or 'manhattan', got {metric!r}")
     square = metric == "euclidean"
-    total = np.zeros((len(rows), len(x)))
+    total = np.empty((len(rows), len(x))) if total is None else total
+    diff = np.empty_like(total) if diff is None else diff
     for c in range(x.shape[1]):
-        diff = np.subtract.outer(rows[:, c], x[:, c])
-        total += np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)
+        # the first column's terms start the sum, as 0 + t = t
+        term = np.subtract.outer(rows[:, c], x[:, c], out=diff if c else total)
+        np.multiply(term, term, out=term) if square else np.abs(term, out=term)
+        if c:
+            total += term
     return np.sqrt(total, out=total) if square else total
 
 
@@ -115,21 +120,38 @@ def distance_matrix(data: DataSet, metric: str = "euclidean") -> np.ndarray:
 def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     """Row i lists i first, then every other observation by (distance to i, index).
 
-    Rows are built 64 at a time from _distances, column by column, so only
-    the n x n index array is held, in the narrowest unsigned type that holds
-    n - 1: n^2 bytes up to n = 256, 2 n^2 up to n = 65,536, then 4 n^2. Rows
-    with a tied distance are re-sorted stably after the fast default argsort,
-    so ties go by index.
+    The order is n x n, in the narrowest unsigned type that holds n - 1: n^2
+    bytes up to n = 256, 2 n^2 up to n = 65,536, then 4 n^2. Rows are built
+    64 at a time in two 64 x n float buffers, allocated once: _distances
+    fills one, and the other takes the rows' packed keys. The key of column j
+    is the distance's bits, which sort as a non-negative double does, with
+    their low w = (n - 1).bit_length() bits cleared, plus 2^w, plus j; row
+    i's own key is just i, so i comes first. One integer sort per row orders
+    its keys by (distance, index), and the index is masked out into the
+    order. A row in which two adjacent keys share their distance bits (a tie,
+    infinite distances, or distances that differ only in the cleared bits) is
+    re-sorted from its exact distances with a stable argsort, so ties go by
+    index.
     """
-    order = np.empty((data.n, data.n), dtype=np.min_scalar_type(data.n - 1))
-    for lo in range(0, data.n, 64):
-        d = _distances(data.values[lo:lo + 64], data.values, metric)
-        np.fill_diagonal(d[:, lo:], -1.0)  # ahead of a duplicate with a smaller index
-        idx = np.argsort(d, axis=1)
-        ranked = np.take_along_axis(d, idx, axis=1)
-        for r in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
-            idx[r] = np.argsort(d[r], kind="stable")
-        order[lo:lo + 64] = idx
+    n, x = data.n, data.values
+    order = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    low = (1 << (n - 1).bit_length()) - 1  # the low key bits, which hold an index
+    index = np.arange(n, dtype=np.uint64)
+    total, spare = np.empty((2, min(n, 64), n))
+    for lo in range(0, n, 64):  # a slice [:n - lo] is the block's min(64, n - lo) rows
+        d = _distances(x[lo:lo + 64], x, metric, total[:n - lo], spare[:n - lo]).view(np.uint64)
+        keys = np.bitwise_or(d, low, out=spare[:n - lo].view(np.uint64))
+        keys += index + 1  # (d | low) + 1 + j = (d with the low bits cleared) + 2^w + j
+        np.fill_diagonal(keys[:, lo:], index[lo:lo + 64])
+        keys.sort(axis=1)
+        np.bitwise_and(keys, low, out=order[lo:lo + 64], casting="unsafe")
+        # adjacent keys share their distance bits where their xor fits in the low bits
+        shared = np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=d[:, 1:]) <= low
+        tied = np.flatnonzero(shared.any(axis=1))
+        exact = _distances(x[lo + tied], x, metric, total[:tied.size], spare[:tied.size])
+        exact[np.arange(tied.size), lo + tied] = -1.0  # ahead of a duplicate with a smaller index
+        for r, row in zip(tied, exact):
+            order[lo + r] = np.argsort(row, kind="stable")
     return order
 
 

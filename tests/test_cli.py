@@ -334,6 +334,26 @@ def test_galaxy_cli_run(capsys, tmp_path, galaxy_path):
     assert doc["hyperparams"]["family"] == "univariate"
 
 
+@pytest.mark.parametrize("command,flag,extra", [
+    ("cluster", "--out", []),
+    ("cluster", "--plot-data", []),
+    ("sweep", "--out", ["--tau-grid", "0.1,0.01"]),
+])
+def test_missing_output_directory_fails_before_any_work(capsys, monkeypatch, tmp_path,
+                                                        cluster_csv, command, flag, extra):
+    # the data is not read, the order not built and no search run
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the output directory was checked")
+
+    for name in ("read_csv", "neighbor_order", "multi_start"):
+        monkeypatch.setattr(cli, name, no_work)
+    target = tmp_path / "missing" / "result"
+    code, stdout, err = run(capsys, [command, "--data", str(cluster_csv), flag, str(target),
+                                     *extra])
+    assert code == 2 and stdout == ""
+    assert err == f"I/O error: no such directory: {target.parent}\n"
+
+
 @pytest.mark.parametrize("command,mu", [
     ("cluster", "abc"),
     ("sweep", "abc"),
