@@ -28,8 +28,9 @@ and the "whole %" column gives the share of whole-group blocks among them.
 Last, io.neighbor_order is timed, in µs per build, under both metrics on
 standard normal data at the galaxy grid's size (n = 82, b = 1), at the
 criterion-8 grid's (n = 600, b = 2) and at cluster-3000's (n = 3000, b = 3),
-and on a tie-heavy 3000 x 2 grid of integers in [-20, 20], where nearly every
-row has tied distances and is re-sorted stably. A timing builds the order
+and on two tie-heavy 3000 x 2 sets, where nearly every row has tied distances
+and is re-sorted stably: a grid of integers in [-20, 20], and standard normal
+data rounded to one decimal. A timing builds the order
 max(1, calls * 82^2 // n^2) times, so --calls builds at n = 82 and one at
 n = 3000.
 
@@ -56,7 +57,8 @@ CASES = (("unit B=1", 1, 1), ("unit B=32", 32, 1), ("8x3", 8, 3), ("4x15", 4, 15
 PICKER_SIZES = ((82, 1), (3000, 3))
 PICKER_CASES = (("whole", 1e6, 1e-9), ("mixed", 0.2, 0.04), ("partial", 2.0, 2.0))
 PICKER_RUN, PICKER_GROUPS = 32, 5
-ORDER_CASES = (("normal", 82, 1), ("normal", 600, 2), ("normal", 3000, 3), ("tied grid", 3000, 2))
+ORDER_CASES = (("normal", 82, 1), ("normal", 600, 2), ("normal", 3000, 3), ("tied grid", 3000, 2),
+               ("rounded", 3000, 2))
 
 
 def _load(root: Path, name: str):
@@ -190,6 +192,8 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(n + b)
         x = (rng.integers(-20, 21, size=(n, b)).astype(float) if name == "tied grid"
              else rng.standard_normal((n, b)))
+        if name == "rounded":
+            x = np.round(x, 1)
         builds = max(1, args.calls * 82 ** 2 // n ** 2)
         for metric in ("euclidean", "manhattan"):
             times = _pairs(lambda i: _order_us(sides[i], x, metric, builds), args.pairs)

@@ -10,19 +10,16 @@ from .model import (
     Allocation,
     ClusterState,
     DataSet,
-    GroupStats,
     HyperParams,
     MvHyperParams,
     NumericalError,
     UvHyperParams,
-    stats_downdate,
     validate_hyperparams,
 )
 from .icl import (
     IclValue,
     allocation_log_prior,
     apply_move,
-    group_log_evidence,
     icl_exact,
     make_state,
 )
@@ -36,10 +33,8 @@ from .optimizer import (
 )
 from .generator import GeneratedSample, sample_dataset
 from .io import (
-    distance_matrix,
     neighbor_order,
     read_csv,
-    read_result,
     standardize,
     write_csv,
     write_result,
@@ -52,7 +47,6 @@ __all__ = [
     "ClusterState",
     "DataSet",
     "GeneratedSample",
-    "GroupStats",
     "HyperParams",
     "IclValue",
     "MvHyperParams",
@@ -62,20 +56,16 @@ __all__ = [
     "UvHyperParams",
     "allocation_log_prior",
     "apply_move",
-    "distance_matrix",
     "greedy_combined_icl",
     "greedy_icl",
-    "group_log_evidence",
     "icl_exact",
     "make_state",
     "multi_start",
     "neighbor_order",
     "read_csv",
-    "read_result",
     "relabel_compact",
     "sample_dataset",
     "standardize",
-    "stats_downdate",
     "validate_hyperparams",
     "write_csv",
     "write_result",

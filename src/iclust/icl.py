@@ -66,7 +66,6 @@ from .model import (
     Allocation,
     ClusterState,
     DataSet,
-    GroupStats,
     HyperParams,
     MvHyperParams,
     NumericalError,
@@ -185,32 +184,6 @@ def _batch_evidence(ns, means, scatters, params: MvHyperParams, terms):
     return base_t[ns] - slope_t[ns] * logdet, bad
 
 
-def _checked_evidence(ns, means, scatters, params: MvHyperParams, terms) -> np.ndarray:
-    """_batch_evidence that raises NumericalError instead of flagging a row."""
-    evidence, bad = _batch_evidence(ns, means, scatters, params, terms)
-    if bad.any():
-        raise NumericalError(_NOT_PD)
-    return evidence
-
-
-def group_log_evidence(stats: GroupStats, params: HyperParams) -> float:
-    """Log marginal likelihood contribution of one group, in data coordinates.
-
-    Zero for an empty group. A univariate prior is scored as its 1x1
-    Normal-Wishart. A posterior scale matrix that is not positive definite
-    raises NumericalError rather than returning NaN.
-    """
-    params = validate_hyperparams(params, stats.mean.size)
-    if stats.n == 0:
-        return 0.0
-    return float(
-        _checked_evidence(
-            np.array([stats.n]), stats.mean[None, :] - params.mu, stats.scatter[None, :, :],
-            params, _count_terms(params, stats.n),
-        )[0]
-    )
-
-
 def _k_term(k: int, alpha: float, n: int) -> float:
     """The allocation prior's terms in K and n alone, lgamma(K a) - lgamma(K a + n)."""
     return math.lgamma(k * alpha) - math.lgamma(k * alpha + n)
@@ -273,8 +246,9 @@ def refresh_state(state: ClusterState) -> None:
 
     The groups are _block_stats blocks of their members in index order. Row
     K + 1 is the spare empty row, whose zero count gives an evidence of
-    exactly zero, so the fsum of the evidences is the data term. An ICL that
-    is not finite raises NumericalError.
+    exactly zero, so the fsum of the evidences is the data term. A posterior
+    scale that is not positive definite, or an ICL that is not finite, raises
+    NumericalError.
     """
     labels, params = state.labels, state.params
     k = int(labels.max())
@@ -284,7 +258,9 @@ def refresh_state(state: ClusterState) -> None:
     scatters = np.zeros((k + 1, state.data.b, state.data.b))
     means[:k], scatters[:k] = _block_stats(state.columns, np.argsort(labels, kind="stable"),
                                            sizes, np.cumsum(sizes) - sizes)
-    evidence = _checked_evidence(counts, means, scatters, params, state.count_terms)
+    evidence, bad = _batch_evidence(counts, means, scatters, params, state.count_terms)
+    if bad.any():
+        raise NumericalError(_NOT_PD)
     state.counts, state.means, state.scatters = counts, means, scatters
     state.group_evidence = evidence
     state.icl = (math.fsum(evidence.tolist())

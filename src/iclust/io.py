@@ -128,14 +128,18 @@ def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
     their low w = (n - 1).bit_length() bits cleared, plus 2^w, plus j; row
     i's own key is just i, so i comes first. One integer sort per row orders
     its keys by (distance, index), and the index is masked out into the
-    order. A row in which two adjacent keys share their distance bits (a tie,
-    infinite distances, or distances that differ only in the cleared bits) is
-    re-sorted from its exact distances with a stable argsort, so ties go by
-    index.
+    order. Then the keys are shifted right by w, leaving the distance bits
+    plus one, and 0 for i. A row in which two adjacent shifted keys are equal
+    (a tie, infinite distances, or distances that differ only in the cleared
+    bits) takes its exact distances' bits, still in the distance buffer, in
+    key order, and all such rows of a block are re-sorted by one stable
+    argsort of those bits. Key order puts equal distances by index and i, at
+    distance 0, ahead of its duplicates, so the stable sort keeps both.
     """
     n, x = data.n, data.values
     order = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-    low = (1 << (n - 1).bit_length()) - 1  # the low key bits, which hold an index
+    w = (n - 1).bit_length()
+    low = (1 << w) - 1  # the low key bits, which hold an index
     index = np.arange(n, dtype=np.uint64)
     total, spare = np.empty((2, min(n, 64), n))
     for lo in range(0, n, 64):  # a slice [:n - lo] is the block's min(64, n - lo) rows
@@ -145,13 +149,11 @@ def neighbor_order(data: DataSet, metric: str = "euclidean") -> np.ndarray:
         np.fill_diagonal(keys[:, lo:], index[lo:lo + 64])
         keys.sort(axis=1)
         np.bitwise_and(keys, low, out=order[lo:lo + 64], casting="unsafe")
-        # adjacent keys share their distance bits where their xor fits in the low bits
-        shared = np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=d[:, 1:]) <= low
-        tied = np.flatnonzero(shared.any(axis=1))
-        exact = _distances(x[lo + tied], x, metric, total[:tied.size], spare[:tied.size])
-        exact[np.arange(tied.size), lo + tied] = -1.0  # ahead of a duplicate with a smaller index
-        for r, row in zip(tied, exact):
-            order[lo + r] = np.argsort(row, kind="stable")
+        keys >>= w  # the distance bits plus one, and 0 for the row's own key
+        tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        rows = order[lo + tied]
+        exact = d[tied[:, None], rows]
+        order[lo + tied] = np.take_along_axis(rows, exact.argsort(axis=1, kind="stable"), axis=1)
     return order
 
 
@@ -189,8 +191,3 @@ def write_result(solution, params, metadata: dict, path) -> None:
         },
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_result(path) -> dict:
-    """Parse a result document written by write_result."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -4,9 +4,9 @@ Holds the fixed inputs (data, prior hyperparameters), the allocation vector
 that the search optimises over, and the per-group sufficient statistics
 (count, mean, centred scatter) that make incremental objective updates cheap.
 
-Everything except ClusterState is immutable after construction and can be
-shared freely across concurrent restarts. A ClusterState is owned and mutated
-by exactly one search.
+Everything except ClusterState is immutable after construction and is
+shared by the restarts, which run one after another. A ClusterState is owned
+and mutated by exactly one search.
 """
 
 from __future__ import annotations

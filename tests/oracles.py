@@ -3,8 +3,11 @@
 Everything here is deliberately written from first principles (Student-t
 predictive densities, posterior parameter updates, numerical integration,
 exhaustive partition enumeration) and never calls back into the code paths
-it is checking. The one exception is icl_delta, a per-target reading of the
-move kernel for the tests that check its deltas against icl_exact.
+it is checking. Two helpers read the product instead: icl_delta, a
+per-target reading of the move kernel for the tests that check its deltas
+against icl_exact, and group_evidence, the data term of icl_exact for one
+group, which the tests check against the oracles here and with which
+brute_force_max_icl scores subsets.
 neighbor_block is the one-visit block picker that the search's batched
 neighbor_blocks must reproduce, draws included. reference_distances holds the
 broadcast distance expressions that neighbor_order's column-wise sums must
@@ -36,6 +39,11 @@ def icl_delta(state, block, target: int) -> float:
     if not 1 <= target <= state.k + 1:
         raise ValueError(f"target must be in 1..{state.k + 1}, got {target}")
     return float(best_move(state, block).deltas[0, target - 1])
+
+
+def group_evidence(rows, params) -> float:
+    """Log evidence of the rows of a b-column matrix as one group, through icl_exact."""
+    return icl_exact(DataSet(rows), np.ones(len(rows), dtype=int), params).data_term
 
 
 def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
@@ -215,11 +223,11 @@ def partitions_upto(n: int, k_max: int):
 def brute_force_max_icl(data: DataSet, params, k_max: int):
     """Exhaustive maximum of the exact ICL over partitions with K <= k_max.
 
-    Per-subset evidences are cached so the enumeration stays fast; the prior
-    term is recomputed per partition.
+    Per-subset evidences, icl_exact's data term for the subset as one group,
+    are cached so the enumeration stays fast; the prior term is recomputed
+    per partition.
     """
-    from iclust.icl import allocation_log_prior, group_log_evidence
-    from iclust.model import GroupStats
+    from iclust.icl import allocation_log_prior
 
     n = data.n
     cache = {}
@@ -227,7 +235,7 @@ def brute_force_max_icl(data: DataSet, params, k_max: int):
     def subset_ev(key):
         if key not in cache:
             rows = data.values[[i for i in range(n) if key >> i & 1]]
-            cache[key] = group_log_evidence(GroupStats.from_points(rows), params)
+            cache[key] = group_evidence(rows, params)
         return cache[key]
 
     best = -math.inf

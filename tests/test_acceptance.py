@@ -18,7 +18,6 @@ from iclust import (
     MvHyperParams,
     SearchConfig,
     UvHyperParams,
-    group_log_evidence,
     icl_exact,
     make_state,
     multi_start,
@@ -28,12 +27,12 @@ from iclust import (
 from iclust.cli import main
 from iclust.icl import allocation_log_prior
 from iclust.io import neighbor_order
-from iclust.model import GroupStats
 from iclust.optimizer import greedy_combined_icl
 
 from oracles import (
     brute_force_max_icl,
     enumerate_label_vectors,
+    group_evidence,
     icl_delta,
     interval_split_max_icl,
     mv_evidence_chain_rule,
@@ -197,7 +196,7 @@ def test_criterion_3_evidence_oracles():
             omega=float(rng.uniform(0.2, 5.0)),
         )
         x = rng.normal(size=b)
-        ev = group_log_evidence(GroupStats.from_points(x[None, :]), params)
+        ev = group_evidence(x[None, :], params)
         df = params.nu - b + 1
         scale = params.scale_matrix() * (params.tau + 1) / (params.tau * df)
         worst_a = max(worst_a, abs(ev - mvt_logpdf(x, params.mu, scale, df)))
@@ -212,7 +211,7 @@ def test_criterion_3_evidence_oracles():
             delta=float(rng.uniform(0.5, 2.0)),
         )
         xs = rng.normal(size=int(rng.integers(1, 5)))
-        ev = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
+        ev = group_evidence(xs[:, None], params)
         worst_b = max(worst_b, abs(ev - uv_evidence_quadrature(params, xs)))
     # (c) multivariate evidence versus the sequential-predictive chain rule
     worst_c = 0.0
@@ -227,7 +226,7 @@ def test_criterion_3_evidence_oracles():
             omega=float(rng.uniform(0.3, 3.0)),
         )
         rows = rng.normal(size=(m, b))
-        ev = group_log_evidence(GroupStats.from_points(rows), params)
+        ev = group_evidence(rows, params)
         worst_c = max(worst_c, abs(ev - mv_evidence_chain_rule(params, rows)))
     ok = worst_a < 1e-10 and worst_b < 1e-6 and worst_c < 1e-9
     report("3 evidence oracles", ok,

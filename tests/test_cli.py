@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from iclust import DataSet, MvHyperParams, UvHyperParams, icl_exact
 from iclust import cli
 from iclust.cli import main
-from iclust.io import read_csv, read_result, standardize, write_csv
+from iclust.io import read_csv, standardize, write_csv
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ class TestClusterCommand:
         assert code == 0
         assert re.search(r"K = 2", stdout)
         assert re.search(r"ICL_ex = -?\d", stdout)
-        doc = read_result(out)
+        doc = json.loads(out.read_text())
         assert doc["K"] == 2
         assert len(doc["labels"]) == 24
         assert doc["runtime_ms"] > 0
@@ -64,7 +64,7 @@ class TestClusterCommand:
             "--restarts", "6", "--sweeps", "15", "--out", str(out),
         ])
         assert code == 0
-        doc = read_result(out)
+        doc = json.loads(out.read_text())
         labels_path = tmp_path / "labels.csv"
         labels_path.write_text("\n".join(str(v) for v in doc["labels"]) + "\n")
         code, stdout, _ = run(capsys, [
@@ -179,6 +179,16 @@ class TestGenerateCommand:
             paths.append((od, ol))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    def test_missing_labels_directory_writes_no_data(self, capsys, tmp_path):
+        od, ol = tmp_path / "d.csv", tmp_path / "missing" / "l.csv"
+        code, stdout, err = run(capsys, [
+            "generate", "--n", "50", "--k", "2", "--b", "2", "--seed", "1",
+            "--out-data", str(od), "--out-labels", str(ol),
+        ])
+        assert code == 2 and stdout == ""
+        assert err == f"I/O error: no such directory: {ol.parent}\n"
+        assert not od.exists()
 
     def test_univariate_generation(self, capsys, tmp_path):
         od, ol = tmp_path / "d.csv", tmp_path / "l.csv"
@@ -419,13 +429,13 @@ def test_omitted_prior_flags_take_their_defaults(capsys, tmp_path, cluster_csv, 
     code, _, _ = run(capsys, ["cluster", "--data", str(cluster_csv), "--restarts", "1",
                               "--sweeps", "1", "--seed", "1", "--out", str(out)])
     assert code == 0
-    hyper = read_result(out)["hyperparams"]
+    hyper = json.loads(out.read_text())["hyperparams"]
     assert (hyper["nu"], hyper["omega"]) == (3, 1.0)
     code, _, _ = run(capsys, ["cluster", "--data", str(galaxy_path), "--standardize",
                               "--restarts", "1", "--sweeps", "1", "--seed", "1",
                               "--out", str(out)])
     assert code == 0
-    hyper = read_result(out)["hyperparams"]
+    hyper = json.loads(out.read_text())["hyperparams"]
     assert (hyper["gamma"], hyper["delta"]) == (0.5, 0.5)
 
 
@@ -512,7 +522,7 @@ def test_near_duplicate_corners_cluster_without_a_numerical_error(capsys, tmp_pa
     code, stdout, err = run(capsys, ["cluster", "--data", str(path), "--restarts", "2",
                                      "--sweeps", "2", "--seed", "1", "--out", str(out)])
     assert code == 0, err
-    doc = read_result(out)
+    doc = json.loads(out.read_text())
     assert None not in doc["restart_best"]
     params = MvHyperParams(alpha=4.0, tau=0.01, mu=x.mean(axis=0), nu=3.0, omega=1.0)
     icl = float(re.fullmatch(r"K = \d+\nICL_ex = (\S+)\n", stdout).group(1))
@@ -563,7 +573,7 @@ def test_cluster_prints_an_exact_finite_icl_or_a_typed_error(case):
                          "--sweeps", "2", "--seed", "1", "--out", str(Path(tmp) / "r.json"),
                          *argv])
             if code == 0:
-                labels = read_result(Path(tmp) / "r.json")["labels"]
+                labels = json.loads((Path(tmp) / "r.json").read_text())["labels"]
         stdout, stderr = out.getvalue(), err.getvalue()
     assert "nan" not in stdout.lower()
     if code != 0:

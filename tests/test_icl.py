@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 from iclust import (
     Allocation,
     DataSet,
-    GroupStats,
     MvHyperParams,
     UvHyperParams,
     allocation_log_prior,
-    group_log_evidence,
     icl_exact,
     make_state,
     relabel_compact,
+    validate_hyperparams,
 )
-from iclust.icl import (_batch_logdet_spd, _block_stats, _count_terms, apply_move, best_move,
-                        best_moves)
-from iclust.model import NumericalError, stats_downdate
+from iclust.icl import (_batch_evidence, _batch_logdet_spd, _block_stats, _count_terms,
+                        apply_move, best_move, best_moves, refresh_state)
+from iclust.model import GroupStats, NumericalError, stats_downdate
 
 from oracles import (
     enumerate_label_vectors,
+    group_evidence,
     icl_delta,
     mv_evidence_chain_rule,
     mv_predictive_logpdf,
@@ -34,15 +34,17 @@ from oracles import (
 
 
 class TestGroupEvidence:
-    def test_empty_group_is_zero(self, mv_params):
-        assert group_log_evidence(GroupStats.empty(2), mv_params) == 0.0
+    def test_empty_group_is_zero(self, small_data, mv_params):
+        # the state's spare row is an empty group
         up = UvHyperParams(alpha=1.0, tau=0.5, mu=0.0, gamma=0.5, delta=0.5)
-        assert group_log_evidence(GroupStats.empty(1), up) == 0.0
+        for data, params in ((small_data, mv_params), (DataSet(small_data.values[:, 0]), up)):
+            state = make_state(data, np.ones(12, dtype=int), params)
+            assert state.counts[-1] == 0 and state.group_evidence[-1] == 0.0
 
     def test_single_observation_at_mu(self, mv_params):
         # predictive is a bivariate t with 2 df, centre mu, identity scale
-        st = GroupStats.from_points(np.zeros((1, 2)))
-        assert group_log_evidence(st, mv_params) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+        ev = group_evidence(np.zeros((1, 2)), mv_params)
+        assert ev == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_single_observation_student_t_randomized(self):
         rng = np.random.default_rng(31)
@@ -56,7 +58,7 @@ class TestGroupEvidence:
                 omega=float(rng.uniform(0.2, 5.0)),
             )
             x = rng.normal(size=b)
-            ev = group_log_evidence(GroupStats.from_points(x[None, :]), params)
+            ev = group_evidence(x[None, :], params)
             df = params.nu - b + 1
             scale = params.scale_matrix() * (params.tau + 1) / (params.tau * df)
             assert ev == pytest.approx(mvt_logpdf(x, params.mu, scale, df), abs=1e-10)
@@ -65,7 +67,7 @@ class TestGroupEvidence:
         rng = np.random.default_rng(77)
         params = MvHyperParams(alpha=1.0, tau=0.5, mu=np.zeros(2), nu=3.0, omega=1.0)
         rows = rng.normal(size=(3, 2))
-        ev = group_log_evidence(GroupStats.from_points(rows), params)
+        ev = group_evidence(rows, params)
         assert ev == pytest.approx(mv_evidence_chain_rule(params, rows), abs=1e-10)
 
     def test_chain_rule_oracle(self):
@@ -81,7 +83,7 @@ class TestGroupEvidence:
                 omega=float(rng.uniform(0.3, 3.0)),
             )
             rows = rng.normal(size=(m, b))
-            ev = group_log_evidence(GroupStats.from_points(rows), params)
+            ev = group_evidence(rows, params)
             assert ev == pytest.approx(mv_evidence_chain_rule(params, rows), abs=1e-9)
 
     def test_incremental_predictive(self):
@@ -91,8 +93,8 @@ class TestGroupEvidence:
                                nu=4.2, omega=1.3)
         rows = rng.normal(size=(6, 2))
         for j in range(1, 7):
-            whole = group_log_evidence(GroupStats.from_points(rows[:j]), params)
-            prefix = group_log_evidence(GroupStats.from_points(rows[:j - 1]), params)
+            whole = group_evidence(rows[:j], params)
+            prefix = group_evidence(rows[:j - 1], params) if j > 1 else 0.0
             pred = mv_predictive_logpdf(params, rows[:j - 1], rows[j - 1])
             assert whole - prefix == pytest.approx(pred, abs=1e-9)
 
@@ -100,9 +102,8 @@ class TestGroupEvidence:
 class TestUnivariateEvidence:
     def test_single_observation_at_mu(self):
         params = UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=0.5, delta=0.5)
-        st = GroupStats.from_points(np.zeros((1, 1)))
         expected = -math.log(math.pi * math.sqrt(2.0))
-        assert group_log_evidence(st, params) == pytest.approx(expected, abs=1e-12)
+        assert group_evidence(np.zeros((1, 1)), params) == pytest.approx(expected, abs=1e-12)
 
     def test_quadrature_oracle(self):
         rng = np.random.default_rng(9)
@@ -116,14 +117,14 @@ class TestUnivariateEvidence:
             )
             m = int(rng.integers(1, 5))
             xs = rng.normal(size=m)
-            ev = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
+            ev = group_evidence(xs[:, None], params)
             assert ev == pytest.approx(uv_evidence_quadrature(params, xs), abs=1e-6)
 
     def test_uv_chain_rule(self):
         rng = np.random.default_rng(10)
         params = UvHyperParams(alpha=1.0, tau=0.3, mu=0.1, gamma=1.5, delta=0.8)
         xs = rng.normal(size=7)
-        whole = group_log_evidence(GroupStats.from_points(xs[:, None]), params)
+        whole = group_evidence(xs[:, None], params)
         chain = math.fsum(uv_predictive_logpdf(params, xs[:j], xs[j]) for j in range(7))
         assert whole == pytest.approx(chain, abs=1e-9)
 
@@ -143,8 +144,9 @@ class TestUnivariateEvidence:
         # data away from mu
         params = UvHyperParams(alpha=1.0, tau=10.0 ** log_tau, mu=mu,
                                gamma=10.0 ** log_gamma, delta=10.0 ** log_delta)
-        stats = GroupStats.from_points(offset + step * np.array(cells, dtype=float)[:, None])
-        ev = group_log_evidence(stats, params)
+        rows = offset + step * np.array(cells, dtype=float)[:, None]
+        stats = GroupStats.from_points(rows)
+        ev = group_evidence(rows, params)
         ref = uv_log_evidence(params, stats.n, float(stats.mean[0]), float(stats.scatter[0, 0]))
         assert abs(ev - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -167,7 +169,7 @@ class TestFullScaleMatrix:
                                   omega=1.0)
             rows = rng.normal(size=(6, b))
             rows_white = np.linalg.solve(chol, rows.T).T
-            ev = group_log_evidence(GroupStats.from_points(rows_white), white) - 3.0 * log_det_xi
+            ev = group_evidence(rows_white, white) - 3.0 * log_det_xi
             assert ev == pytest.approx(mv_evidence_chain_rule(params, rows, xi), abs=1e-9)
 
             # the same identity over a whole allocation, with n / 2
@@ -182,18 +184,21 @@ class TestFullScaleMatrix:
             assert value - 20.0 * log_det_xi == pytest.approx(oracle, abs=1e-9)
 
     def test_non_pd_posterior_raises_numerical_error(self):
-        # a corrupted scatter (impossible through the public API) must
-        # surface as NumericalError, never as NaN
-        from iclust import NumericalError
-
-        params = MvHyperParams(alpha=1.0, tau=1.0, mu=np.zeros(2), nu=3.0, omega=1.0)
-        bad = GroupStats(3, np.zeros(2), -10.0 * np.eye(2))
-        with pytest.raises(NumericalError, match="positive definite"):
-            group_log_evidence(bad, params)
-        up = UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=1.0, delta=0.5)
-        bad1 = GroupStats(3, np.zeros(1), np.array([[-10.0]]))
-        with pytest.raises(NumericalError):
-            group_log_evidence(bad1, up)
+        # a corrupted scatter (impossible through the public API) is flagged
+        # with a NaN evidence, and a state build that meets a flagged row
+        # raises NumericalError, never scores NaN
+        for params, b in ((MvHyperParams(alpha=1.0, tau=1.0, mu=np.zeros(2), nu=3.0, omega=1.0), 2),
+                          (UvHyperParams(alpha=1.0, tau=1.0, mu=0.0, gamma=1.0, delta=0.5), 1)):
+            wishart = validate_hyperparams(params, b)
+            scatters = np.stack([-10.0 * np.eye(b), np.zeros((b, b))])
+            evidence, bad = _batch_evidence(np.array([3, 0]), np.zeros((2, b)), scatters, wishart,
+                                            _count_terms(wishart, 3))
+            assert bad.tolist() == [True, False]
+            assert math.isnan(evidence[0]) and evidence[1] == 0.0
+            state = make_state(DataSet(np.arange(3.0 * b).reshape(3, b)), [1, 1, 1], params)
+            state.columns[:] = np.nan
+            with pytest.raises(NumericalError, match="positive definite"):
+                refresh_state(state)
 
 
 class TestGalaxyAnchor:
@@ -279,7 +284,7 @@ class TestIclExact:
         z = Allocation(np.array([1] * 4 + [2] * 4 + [3] * 4))
         value = icl_exact(small_data, z, mv_params)
         parts = [
-            group_log_evidence(GroupStats.from_points(small_data.values[z.labels == g]), mv_params)
+            group_evidence(small_data.values[z.labels == g], mv_params)
             for g in (1, 2, 3)
         ]
         assert value.data_term == pytest.approx(math.fsum(parts), abs=0.0)

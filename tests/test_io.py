@@ -15,7 +15,6 @@ from iclust.io import (
     neighbor_order,
     read_csv,
     read_labels_csv,
-    read_result,
     standardize,
     write_csv,
     write_result,
@@ -161,6 +160,11 @@ def _tied_line(n):
     return DataSet(np.random.default_rng(n).integers(-20, 21, size=n).astype(float))
 
 
+def _rounded_plane(n):
+    # normal data rounded to one decimal ties many distances in every row
+    return DataSet(np.round(np.random.default_rng(n).standard_normal((n, 2)), 1))
+
+
 def _assert_rows_are_lexsort(order, dist):
     idx = np.arange(len(dist))
     for i in range(len(dist)):
@@ -179,6 +183,9 @@ class TestNeighborOrder:
     # 256 rows is the last n whose indices fit a uint8, 257 the first of uint16
     @example(data=_tied_line(256), metric="euclidean")
     @example(data=_tied_line(257), metric="euclidean")
+    # a uint16 order whose 64-row blocks are full of tied rows
+    @example(data=_rounded_plane(300), metric="euclidean")
+    @example(data=_rounded_plane(300), metric="manhattan")
     # one row, and two: the index takes 0 and 1 key bits
     @example(data=DataSet(np.array([0.5])), metric="euclidean")
     @example(data=DataSet(np.array([0.5, -2.0])), metric="manhattan")
@@ -270,7 +277,7 @@ class TestResultDocument:
                 "k_max": 20}
         path = tmp_path / "out.json"
         write_result(sol, params, meta, path)
-        doc = read_result(path)
+        doc = json.loads(path.read_text())
         assert doc["K"] == sol.K
         assert doc["icl_ex"] == sol.icl  # shortest round-trip floats are exact
         assert doc["labels"] == sol.allocation.labels.tolist()

@@ -4,16 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from iclust import (
-    Allocation,
-    DataSet,
-    GroupStats,
-    MvHyperParams,
-    UvHyperParams,
-    stats_downdate,
-    validate_hyperparams,
-)
+from iclust import Allocation, DataSet, MvHyperParams, UvHyperParams, validate_hyperparams
 from iclust.icl import icl_exact, make_state
+from iclust.model import GroupStats, stats_downdate
 
 
 class TestDataSet:
