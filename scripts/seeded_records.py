@@ -7,17 +7,18 @@ Usage:
 The first form runs the suite with the iclust of the checkout that holds this
 script and writes one record per search: K, the labels, the exact ICL and
 restart_bests, floats as hex so equal means bit for bit equal. The suite is
-140 seeded multi_start runs, each plain and combined unless noted:
+152 seeded multi_start runs, each plain and combined unless noted:
 
 - galaxy: the standardised galaxy data over the 18-cell grid of criterion 1
   (10 restarts, 10 sweeps);
 - sep, ovl: criterion 7's separated and overlapping 150-point data over the
   18-point Table-2 grid (10 restarts, 15 sweeps);
 - c8: criterion 8's 600-point data over its 6 points (10 restarts, 10 sweeps);
-- gen: generated 300-point data at b = 1, 2, 3 with 3 seeds each;
+- gen: generated 300-point data at b = 1..5 with 3 seeds each, so the
+  stacked Cholesky of b >= 4 has records too;
 - big: two combined runs on 3000 x 3 data (2 restarts, 2 sweeps).
 
-It takes about 70 s on a 2-core machine. The second form reports the records
+It takes 40-70 s on a 2-core machine. The second form reports the records
 whose K or labels differ, which exits 1, and how far the ICL and
 restart_bests moved where they differ.
 """
@@ -79,7 +80,7 @@ def _searches():
                         SearchConfig(max_sweeps=10, restarts=10, k_max=20, beta1=0.2,
                                      beta2=0.04, seed=8000 + i))
 
-    for b, seed in itertools.product((1, 2, 3), (0, 1, 2)):
+    for b, seed in itertools.product((1, 2, 3, 4, 5), (0, 1, 2)):
         data = drawn(300, 4, b, 0.01, seed)
         params = MvHyperParams(alpha=4.0, tau=0.01, mu=data.values.mean(axis=0), nu=b + 1.0,
                                omega=0.5)

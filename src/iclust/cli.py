@@ -219,6 +219,7 @@ def cmd_generate(args) -> int:
     _check_out_dirs(args.out_data, args.out_labels)
     if args.n < 1 or args.k < 1 or args.b < 1:
         raise ValueError("--n, --k and --b must all be at least 1")
+    SearchConfig(seed=args.seed)  # the search's seed check, before any sampling
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     params = _build_params(args, args.b, np.zeros(args.b))
     sample = sample_dataset(args.n, args.k, params, rng)

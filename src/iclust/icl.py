@@ -348,8 +348,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
     nb = sizes.size
     unit = members.size == nb
     bounds = np.arange(nb + 1) if unit else np.concatenate(([0], np.cumsum(sizes)))
-    starts = bounds[:-1]
-    sources = state.labels[members[starts]]
+    sources = state.labels[members[bounds[:-1]]]
     if not unit and (state.labels[members] != np.repeat(sources, sizes)).any():
         raise ValueError("block members belong to different groups")
     rows = np.arange(nb)
@@ -357,21 +356,18 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
 
     # block statistics; unit blocks skip the segmented sums, and either way a
     # one-row block's mean is its column. A whole group of two or more members
-    # is its source row, and a call with none sums all its blocks at once.
+    # is its source row.
     if unit:
         b_means = state.columns[:, members].T
         b_scats = np.zeros((nb, b, b))
     else:
         part = (sizes == 1) | (sizes != counts[s])
-        if part.all():
-            b_means, b_scats = _block_stats(state.columns, members, sizes, starts)
-        else:
-            b_means, b_scats = state.means[s], state.scatters[s]
-            if part.any():
-                p_sizes = sizes[part]
-                b_means[part], b_scats[part] = _block_stats(
-                    state.columns, members[np.repeat(part, sizes)], p_sizes,
-                    np.cumsum(p_sizes) - p_sizes)
+        b_means, b_scats = state.means[s], state.scatters[s]
+        if part.any():
+            p_sizes = sizes[part]
+            b_means[part], b_scats[part] = _block_stats(
+                state.columns, members[np.repeat(part, sizes)], p_sizes,
+                np.cumsum(p_sizes) - p_sizes)
 
     # one signed merge per column, aligned with the state's rows: the block
     # joins row t with weight m, the spare empty row included (which

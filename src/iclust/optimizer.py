@@ -75,6 +75,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         _require_positive(self.beta1, "beta1")
         _require_positive(self.beta2, "beta2")
+        if not (self.seed is None or isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

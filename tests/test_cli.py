@@ -364,6 +364,27 @@ def test_missing_output_directory_fails_before_any_work(capsys, monkeypatch, tmp
     assert err == f"I/O error: no such directory: {target.parent}\n"
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("cluster", []),
+    ("sweep", ["--tau-grid", "0.1,0.01"]),
+    ("generate", ["--n", "5", "--k", "2", "--b", "2"]),
+])
+def test_bad_seed_fails_before_any_work(capsys, monkeypatch, tmp_path, cluster_csv, command,
+                                        extra):
+    # numpy's SeedSequence would raise only once the order is built or the
+    # sampling starts, with a message that does not name the seed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the seed was checked")
+
+    for name in ("neighbor_order", "multi_start", "sample_dataset"):
+        monkeypatch.setattr(cli, name, no_work)
+    io_flags = (["--out-data", str(tmp_path / "d.csv"), "--out-labels", str(tmp_path / "l.csv")]
+                if command == "generate" else ["--data", str(cluster_csv)])
+    code, stdout, err = run(capsys, [command, *io_flags, "--seed", "-1", *extra])
+    assert code == 1 and stdout == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("command,mu", [
     ("cluster", "abc"),
     ("sweep", "abc"),

@@ -477,6 +477,15 @@ class TestMoveBatch:
         data = DataSet(rng.integers(-2, 3, size=(24, b)).astype(float))
         params = MvHyperParams(alpha=1.5, tau=0.1, mu=np.full(b, 0.3), nu=b + 0.5, omega=0.7)
         state = make_state(data, relabel_compact(rng.integers(1, 6, size=24)), params)
+        # first a fixed stack whose every block is partial: strict subsets of
+        # two groups, one of them a single row
+        groups = [np.flatnonzero(state.labels == g) for g in range(1, state.k + 1)]
+        g1, g2 = [g for g in groups if g.size >= 3][:2]
+        partial = [g1[:2], g2[1:], g1[-1:]]
+        moves = _stacked(state, partial)
+        assert not moves.failed.any()
+        for j, block in enumerate(partial):
+            assert _same_row(moves, j, best_move(state, block))
         for _ in range(20):
             blocks = []
             for _ in range(int(rng.integers(1, 9))):

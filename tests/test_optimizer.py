@@ -810,6 +810,10 @@ class TestSearchConfig:
                     SearchConfig(**{field: value})
         with pytest.raises(ValueError, match="k_max"):
             SearchConfig(k_max=0)
+        # numpy's SeedSequence would reject these only inside multi_start
+        for seed in (-1, 2.5):
+            with pytest.raises(ValueError, match="seed"):
+                SearchConfig(seed=seed)
 
     @pytest.mark.parametrize("field", ["max_sweeps", "restarts", "k_max"])
     def test_counts_must_be_integers(self, field):
