@@ -16,14 +16,18 @@ seeded data and labels, and best_moves is timed on five fixed block sets:
 
 Then optimizer.neighbor_blocks is timed on 32-visit runs at the sizes of the
 galaxy grid (n = 82, b = 1) and of cluster-3000 (n = 3000, b = 3), each with
-5 groups, its order from that side's neighbor_order, and three size laws:
+5 groups, its order from that side's neighbor_order, and three size laws.
+Each side's picker is called with its own signature, read from its
+parameters: one that takes a run and a set of scored groups gets run = 32 and
+an empty set, so it draws the same 32 visits as one that does not, and skips
+every whole-group visit after the first to the same group. The size laws:
 
 - whole: Beta(1e6, 1e-9), so every block is its whole group;
 - mixed: Beta(0.2, 0.04), cluster-3000's law: whole, partial and single blocks;
 - partial: Beta(2, 2), blocks that are mostly part of their group.
 
 The visits and the size draws come from fixed seeds, the same on both sides,
-and the "whole %" column gives the share of whole-group blocks among them.
+and the "whole %" column gives the share of whole-group draws among them.
 
 Last, io.neighbor_order is timed, in µs per build, under both metrics on
 standard normal data at the galaxy grid's size (n = 82, b = 1), at the
@@ -36,14 +40,16 @@ n = 3000.
 
 A pair times --calls calls (or the builds above) on each side, the side
 that runs first alternating from pair to pair. The report gives each side's
-median µs per call (or build) over the pairs and how many pairs each side
-won; a pair of equal times counts for neither. No file is written.
+median µs per call (or build) over the pairs with its quartiles in brackets,
+and how many pairs each side won; a pair of equal times counts for neither.
+No file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import statistics
 import sys
 import time
@@ -93,25 +99,35 @@ def _per_call_us(pkg, state, members, sizes, calls):
     return (time.perf_counter() - start) / calls * 1e6
 
 
+def _picker(pkg):
+    """pkg's neighbor_blocks on one run of PICKER_RUN visits, in its own signature."""
+    neighbor_blocks = pkg.optimizer.neighbor_blocks
+    if "run" in inspect.signature(neighbor_blocks).parameters:
+        return lambda state, batch, order, betas, rng: neighbor_blocks(
+            state, batch, PICKER_RUN, set(), order, *betas, rng)
+    return lambda state, batch, order, betas, rng: neighbor_blocks(state, batch, order, *betas,
+                                                                   rng)
+
+
 def _picker_us(pkg, state, order, batches, betas, calls):
     """µs per neighbor_blocks call over calls runs, the size draws seeded alike on both sides."""
-    neighbor_blocks = pkg.optimizer.neighbor_blocks
+    pick = _picker(pkg)
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     for c in range(calls):
-        neighbor_blocks(state, batches[c % len(batches)], order, *betas, rng)
+        pick(state, batches[c % len(batches)], order, betas, rng)
     return (time.perf_counter() - start) / calls * 1e6
 
 
-def _whole_share(pkg, state, order, batches, betas, calls):
-    """Per cent of whole-group blocks in the runs that _picker_us times."""
+def _whole_share(pkg, state, batches, betas, calls):
+    """Per cent of whole-group size draws in the runs that _picker_us times."""
     rng = np.random.default_rng(0)
     whole = total = 0
     for c in range(calls):
-        batch = batches[c % len(batches)]
-        _, sizes = pkg.optimizer.neighbor_blocks(state, batch, order, *betas, rng)
-        whole += int((sizes == state.counts[state.labels[batch] - 1]).sum())
-        total += sizes.size
+        groups = state.counts[state.labels[batches[c % len(batches)]] - 1].tolist()
+        sizes = pkg.optimizer._block_sizes(groups, *betas, rng)
+        whole += sum(size == m for size, m in zip(sizes, groups))
+        total += len(groups)
     return 100.0 * whole / total
 
 
@@ -124,11 +140,16 @@ def _order_us(pkg, x, metric, builds):
     return (time.perf_counter() - start) / builds * 1e6
 
 
+def _spread(times):
+    """Median [lower quartile, upper quartile] of one side's times."""
+    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return f"{median:9.1f} [{q1:9.1f}, {q3:9.1f}]"
+
+
 def _report(name, times, extra=""):
     a_won = sum(ta < tb for ta, tb in zip(*times))
     b_won = sum(tb < ta for ta, tb in zip(*times))
-    print(f"{name} {statistics.median(times[0]):9.1f} {statistics.median(times[1]):9.1f} "
-          f"{a_won:6d} {b_won:6d}{extra}")
+    print(f"{name} {_spread(times[0])} {_spread(times[1])} {a_won:6d} {b_won:6d}{extra}")
 
 
 def _pairs(run, pairs):
@@ -149,7 +170,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = (_load(args.a_root.resolve(), "iclust_a"), _load(args.b_root.resolve(), "iclust_b"))
 
-    print(f"{'case':>14} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6}")
+    print(f"{'case':>14} {'A µs [quartiles]':>33} {'B µs [quartiles]':>33} {'A won':>6} "
+          f"{'B won':>6}")
     for b in (1, 2, 3):
         rng = np.random.default_rng(b)
         centres = rng.standard_normal((K, b)) * 3.0
@@ -166,7 +188,8 @@ def main(argv=None) -> int:
                                                   args.calls), args.pairs)
             _report(f"b={b} {name:>10}", times)
 
-    print(f"\n{'picker':>18} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6} {'whole %':>8}")
+    print(f"\n{'picker':>18} {'A µs [quartiles]':>33} {'B µs [quartiles]':>33} {'A won':>6} "
+          f"{'B won':>6} {'whole %':>8}")
     for n, b in PICKER_SIZES:
         rng = np.random.default_rng(n)
         centres = rng.standard_normal((PICKER_GROUPS, b)) * 3.0
@@ -183,11 +206,11 @@ def main(argv=None) -> int:
         for name, beta1, beta2 in PICKER_CASES:
             times = _pairs(lambda i: _picker_us(sides[i], states[i], orders[i], batches,
                                                 (beta1, beta2), args.calls), args.pairs)
-            share = _whole_share(sides[0], states[0], orders[0], batches, (beta1, beta2),
-                                 args.calls)
+            share = _whole_share(sides[0], states[0], batches, (beta1, beta2), args.calls)
             _report(f"n={n:<5} {name:>10}", times, f" {share:8.1f}")
 
-    print(f"\n{'order build':>26} {'A µs':>9} {'B µs':>9} {'A won':>6} {'B won':>6}")
+    print(f"\n{'order build':>26} {'A µs [quartiles]':>33} {'B µs [quartiles]':>33} "
+          f"{'A won':>6} {'B won':>6}")
     for name, n, b in ORDER_CASES:
         rng = np.random.default_rng(n + b)
         x = (rng.integers(-20, 21, size=(n, b)).astype(float) if name == "tied grid"

@@ -457,6 +457,10 @@ def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
         return
     s, t = source - 1, target - 1
     fill, empty = t == state.k, moves.counts[j, s] == 0
+    if empty:
+        # the rows to keep, every one but the emptied source, shared by the four fields
+        keep = np.arange(state.k + fill)
+        keep[s:] += 1
     state.labels[moves.members[moves.bounds[j]:moves.bounds[j + 1]]] = target
     for name, stack in (("counts", moves.counts), ("means", moves.means),
                         ("scatters", moves.scatters), ("group_evidence", moves.evidence)):
@@ -466,7 +470,7 @@ def apply_move(state: ClusterState, moves: MoveBatch, j: int = 0) -> None:
         if fill:
             rows = np.concatenate([rows, np.zeros_like(rows[:1])])
         if empty:
-            rows = np.delete(rows, s, axis=0)
+            rows = rows.take(keep, axis=0)
         setattr(state, name, rows)
     if empty:
         state.labels[state.labels > source] -= 1

@@ -20,10 +20,14 @@ the move changes, so they are dropped and the loop resumes at the next
 visit. A combined run draws its blocks under the current labels; after an
 acceptance the block stream is rewound and the size draws up to the accepted
 visit are made again, so the stream ends where the one-at-a-time loop leaves
-it. A row whose evidence failed raises NumericalError only when no accepted
-row comes before it. The run starts at one visit, doubles after a run without
-an acceptance up to RUN_MAX and never shrinks; seeded output is the same for
-any run length.
+it. A block that is its whole group is scored from the group's state row, so
+until the next applied move it would get the same row and the same rejection
+again: the combined loop keeps the groups whose whole-group block it has
+scored since the last applied move, and the picker still draws such a visit's
+size but skips its block. A row whose evidence failed raises NumericalError
+only when no accepted row comes before it. The run starts at one scored block,
+doubles after a run without an acceptance up to RUN_MAX scored blocks and
+never shrinks; seeded output is the same for any run length.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored from its labels by
@@ -52,8 +56,8 @@ logger = logging.getLogger(__name__)
 # keep the plain variant's sweep loop alive.
 EPSILON = 1e-10
 
-# The longest run of upcoming visits scored in one best_moves call; it
-# changes speed only, never output.
+# The most blocks scored in one best_moves call, skipped visits not counted;
+# it changes speed only, never output.
 RUN_MAX = 32
 
 
@@ -108,39 +112,70 @@ def relabel_compact(z) -> Allocation:
     return Allocation(rank[np.searchsorted(uniq, arr)])
 
 
+def _block_size(m: int, beta1: float, beta2: float, rng) -> int:
+    """A block size in a group of m: max(r, 1), r ~ Binomial(m, eta), eta ~ Beta(beta1, beta2)."""
+    return max(int(rng.binomial(m, rng.beta(beta1, beta2))), 1)
+
+
 def _block_sizes(groups, beta1: float, beta2: float, rng) -> list:
-    """max(r, 1), r ~ Binomial(m, eta), eta ~ Beta(beta1, beta2), for each group size m in turn."""
-    return [max(int(rng.binomial(m, rng.beta(beta1, beta2))), 1) for m in groups]
+    """_block_size for each group size m in turn."""
+    return [_block_size(m, beta1, beta2, rng) for m in groups]
 
 
-def neighbor_blocks(state, batch: np.ndarray, order: np.ndarray,
+def neighbor_blocks(state, visits: np.ndarray, run: int, scored: set, order: np.ndarray,
                     beta1: float, beta2: float, rng):
-    """Nearest-neighbour blocks of the visits in batch, each inside its own group.
+    """Nearest-neighbour blocks of the next visits, each inside its own group.
 
-    Visit i's block is the first _block_sizes of its group in order[i] =
+    Draws the block size of each visit in turn, stopping after run blocks
+    are kept or at the end of visits, which is non-empty. A visit whose
+    block is its whole group is skipped when that group is in scored, the
+    groups whose whole-group block was scored since the last applied move;
+    every kept whole group is added to scored, so a later visit to it in the
+    same run is skipped too.
+
+    Visit i's block is the first _block_size of its group in order[i] =
     neighbor_order(data)[i], i first. A block that is its whole group holds
     the same members in index order instead, read from one stable sort of
     the labels; only the other blocks gather their rows of order and mask
     them by group. Both read the labels cast to the narrowest type that holds
     K, which numpy radix-sorts. The sort, then row by row the partial blocks'
     group members nearest first, make one pool, and each block is a run of
-    it. Returns the blocks concatenated as intp, and their sizes.
+    it. Returns the kept blocks concatenated as intp, their sizes, the
+    positions in visits of their visits, and the number of visits drawn.
     """
-    labels = state.labels[batch]
-    groups = state.counts[labels - 1]
-    sizes = np.array(_block_sizes(groups.tolist(), beta1, beta2, rng), dtype=np.int64)
+    labels, counts = state.labels, state.counts
+    rows, sizes = [], []
+    for p, i in enumerate(visits):
+        g = labels.item(i)
+        m = counts.item(g - 1)
+        size = _block_size(m, beta1, beta2, rng)
+        if size == m:
+            if g in scored:
+                continue
+            scored.add(g)
+        rows.append(p)
+        sizes.append(size)
+        if len(rows) == run:
+            break
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), rows, p + 1
+    batch = visits[rows]
+    labels = labels[batch]
+    groups = counts[labels - 1]
+    sizes = np.array(sizes, dtype=np.int64)
     part = sizes < groups
     small = state.labels.astype(np.min_scalar_type(state.k))
     pool = small.argsort(kind="stable")
-    heads = state.counts.cumsum()[labels - 1] - groups  # where each group starts in pool
+    heads = counts.cumsum()[labels - 1] - groups  # where each group starts in pool
     if part.any():
-        rows = batch[part]
-        ranked = order[rows]
-        hits = (small.take(ranked) == small[rows, None]).ravel().nonzero()[0]
+        rows_part = batch[part]
+        ranked = order[rows_part]
+        hits = (small.take(ranked) == small[rows_part, None]).ravel().nonzero()[0]
         pool = np.concatenate((pool, ranked.ravel()[hits]), dtype=np.intp)
         heads[part] = state.data.n + groups[part].cumsum() - groups[part]
     ends = sizes.cumsum()
-    return pool[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)], sizes
+    return (pool[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)], sizes, rows,
+            p + 1)
 
 
 def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
@@ -158,34 +193,41 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
     order_rng, block_rng = rng.spawn(2)
     trace = [(0, state.icl)]
     run = 1
+    scored = set()  # groups whose whole-group block was rejected since the last move
     for sweep in range(1, config.max_sweeps + 1):
         start = state.icl
         visits = order_rng.permutation(data.n)
         pos = 0
         while pos < data.n:
-            batch = visits[pos:pos + run]
             if order is None:
-                members, sizes = batch, np.ones(batch.size, dtype=np.int64)
+                members = visits[pos:pos + run]
+                sizes, rows = np.ones(members.size, dtype=np.int64), range(members.size)
+                drawn = members.size
             else:
                 saved = block_rng.bit_generator.state
-                members, sizes = neighbor_blocks(state, batch, order, config.beta1,
-                                                 config.beta2, block_rng)
+                members, sizes, rows, drawn = neighbor_blocks(
+                    state, visits[pos:], run, scored, order, config.beta1, config.beta2,
+                    block_rng)
+                if not rows:
+                    break  # the sweep's last visits are all whole groups already rejected
             moves = icl_mod.best_moves(state, members, sizes, allow_new=state.k < config.k_max)
             # staying put scores exactly zero, so a gain above EPSILON moves
             stops = np.flatnonzero(moves.failed | (moves.gains > EPSILON))
             if stops.size == 0:
-                pos += batch.size
+                pos += drawn
                 run = min(2 * run, RUN_MAX)
                 continue
             j = int(stops[0])
-            if order is not None and j + 1 < batch.size:
-                # the draws past visit j were made under labels this move changes
+            p = rows[j]
+            if order is not None and p + 1 < drawn:
+                # the draws past visit p were made under labels this move changes
                 block_rng.bit_generator.state = saved
-                _block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(),
+                _block_sizes(state.counts[state.labels[visits[pos:pos + p + 1]] - 1].tolist(),
                              config.beta1, config.beta2, block_rng)
             # raises NumericalError on a failed row, where one visit at a time would
             icl_mod.apply_move(state, moves, j)
-            pos += j + 1
+            scored.clear()
+            pos += p + 1
         trace.append((sweep, state.icl))
         if order is None and state.icl - start <= EPSILON:
             break

@@ -9,9 +9,11 @@ against icl_exact, and group_evidence, the data term of icl_exact for one
 group, which the tests check against the oracles here and with which
 brute_force_max_icl scores subsets.
 neighbor_block is the one-visit block picker that the search's batched
-neighbor_blocks must reproduce, draws included. reference_distances holds the
-broadcast distance expressions that neighbor_order's column-wise sums must
-reproduce bit for bit up to b = 7.
+neighbor_blocks must reproduce, draws included. combined_search is the
+combined loop one visit at a time that greedy_combined_icl must reproduce:
+it scores every visit's block, none skipped, with the move kernel it does not
+check. reference_distances holds the broadcast distance expressions that
+neighbor_order's column-wise sums must reproduce bit for bit up to b = 7.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from scipy.integrate import dblquad
 from scipy.special import gammaln
 
 from iclust import DataSet, MvHyperParams, UvHyperParams, icl_exact
-from iclust.icl import best_move
+from iclust.icl import apply_move, best_move, make_state, refresh_state
+from iclust.optimizer import EPSILON, relabel_compact
 
 
 def icl_delta(state, block, target: int) -> float:
@@ -60,6 +63,31 @@ def neighbor_block(i: int, labels: np.ndarray, order: np.ndarray,
     eta = rng.beta(beta1, beta2)
     r = int(rng.binomial(same.size, eta))
     return same[: max(r, 1)]
+
+
+def combined_search(data: DataSet, params, init, config, order: np.ndarray, rng):
+    """The combined search one visit at a time, scoring every visit's block.
+
+    rng.spawn(2) gives the visit order and block size streams, as in
+    greedy_combined_icl. Each sweep visits the observations in a permutation
+    of the first; each visit's neighbor_block is scored alone with best_move,
+    whose NumericalError propagates, and applied when its gain exceeds
+    EPSILON. Returns the compact labels, the exact ICL of the final labels
+    and the per-sweep trace, its last entry that exact ICL.
+    """
+    state = make_state(data, init, params)
+    order_rng, block_rng = rng.spawn(2)
+    trace = [(0, state.icl)]
+    for sweep in range(1, config.max_sweeps + 1):
+        for i in order_rng.permutation(data.n):
+            block = neighbor_block(i, state.labels, order, config.beta1, config.beta2, block_rng)
+            moves = best_move(state, block, allow_new=state.k < config.k_max)
+            if moves.gains[0] > EPSILON:
+                apply_move(state, moves)
+        trace.append((sweep, state.icl))
+    refresh_state(state)
+    trace[-1] = (config.max_sweeps, state.icl)
+    return relabel_compact(state.labels), state.icl, tuple(trace)
 
 
 def reference_distances(rows: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from iclust import (
 )
 from iclust.io import distance_matrix, neighbor_order
 
-from oracles import brute_force_max_icl, icl_delta, neighbor_block
+from oracles import brute_force_max_icl, combined_search, icl_delta, neighbor_block
 
 
 def two_cluster_data(n_per=5, sep=100.0, seed=0):
@@ -118,33 +118,53 @@ def picker_cases(draw):
     cells = draw(st.lists(st.integers(-1, 1), min_size=n * b, max_size=n * b))
     k = draw(st.integers(1, n))
     labels = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-    visits = draw(st.permutations(range(n)))
-    run = draw(st.integers(1, n))
+    visits = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
     return dict(x=np.array(cells, dtype=float).reshape(n, b), labels=labels,
-                batch=np.array(visits[:run], dtype=np.int64),
+                visits=np.array(visits, dtype=np.int64), run=draw(st.integers(1, n)),
+                scored=draw(st.sets(st.integers(1, k))),
                 betas=draw(st.sampled_from([(0.1, 0.01), (0.5, 0.5), (2.0, 2.0), (1e-9, 1e6)])),
-                seed=draw(st.integers(0, 2**32 - 1)), replay=draw(st.integers(0, run - 1)))
+                seed=draw(st.integers(0, 2**32 - 1)), replay=draw(st.integers(0, n - 1)))
 
 
 def check_picker(case):
-    """neighbor_blocks against the one-visit oracle: the same sizes and draws,
-    each whole-group block its members in index order, every other block the
-    oracle's nearest-first prefix."""
+    """neighbor_blocks against the one-visit oracle over the visits it drew:
+    the same draws, the whole-group visits of a scored group skipped, each
+    kept whole-group block its members in index order and every other one
+    the oracle's nearest-first prefix. Returns the kinds of blocks seen."""
     data = DataSet(case["x"])
     params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
                            omega=1.0)
     state = make_state(data, relabel_compact(case["labels"]), params)
     order, dist = neighbor_order(data), distance_matrix(data)
-    batch, (beta1, beta2) = case["batch"], case["betas"]
+    visits, run, (beta1, beta2) = case["visits"], case["run"], case["betas"]
+    scored = {g for g in case["scored"] if g <= state.k}
+    seen = set(scored)
     rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
     saved = rng.bit_generator.state
-    members, sizes = opt.neighbor_blocks(state, batch, order, beta1, beta2, rng)
-    expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin) for i in batch]
-    assert members.dtype == np.intp
-    assert sizes.tolist() == [len(block) for block in expected]
+    members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, run, scored, order,
+                                                      beta1, beta2, rng)
+    expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin)
+                for i in visits[:drawn]]
     assert rng.bit_generator.state == twin.bit_generator.state
-    kinds = set()
-    for i, block, oracle in zip(batch, np.split(members, np.cumsum(sizes)[:-1]), expected):
+    # the skipped visits are exactly the whole-group visits of a group scored
+    # before the call or kept earlier in it
+    kept, kinds = [], set()
+    for p, (i, oracle) in enumerate(zip(visits[:drawn], expected)):
+        g = int(state.labels[i])
+        if oracle.size == state.counts[g - 1]:
+            if g in seen:
+                kinds.add("skipped")
+                continue
+            seen.add(g)
+        kept.append(p)
+    assert rows == kept
+    assert scored == seen
+    # it stops once run blocks are kept, or at the end of the visits
+    assert drawn == (rows[-1] + 1 if len(rows) == run else len(visits))
+    assert members.dtype == np.intp
+    assert sizes.tolist() == [len(expected[p]) for p in rows]
+    for p, block in zip(rows, np.split(members, np.cumsum(sizes)[:-1])):
+        i, oracle = visits[p], expected[p]
         group = np.flatnonzero(state.labels == state.labels[i])
         if block.size == group.size:
             kinds.add("whole")
@@ -155,15 +175,18 @@ def check_picker(case):
         # i first, then a prefix of its group ranked by (distance, index)
         others = sorted((j for j in group if j != i), key=lambda j: (dist[i, j], j))
         assert block.tolist() == [i] + others[:len(block) - 1]
-    # after an accepted visit j the loop rewinds and redraws the sizes up
-    # to j, which must leave the stream where one visit at a time does
-    j = case["replay"]
-    rng.bit_generator.state = saved
-    opt._block_sizes(state.counts[state.labels[batch[:j + 1]] - 1].tolist(), beta1, beta2, rng)
-    twin = np.random.default_rng(case["seed"])
-    for i in batch[:j + 1]:
-        neighbor_block(i, state.labels, order, beta1, beta2, twin)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    # after the accepted row of visit p the loop rewinds and redraws the
+    # sizes up to p, skipped visits included, which must leave the stream
+    # where one visit at a time does
+    if rows:
+        p = rows[case["replay"] % len(rows)]
+        rng.bit_generator.state = saved
+        opt._block_sizes(state.counts[state.labels[visits[:p + 1]] - 1].tolist(), beta1, beta2,
+                         rng)
+        twin = np.random.default_rng(case["seed"])
+        for i in visits[:p + 1]:
+            neighbor_block(i, state.labels, order, beta1, beta2, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
     return kinds
 
 
@@ -179,8 +202,8 @@ class TestNeighborBlocks:
         rng = np.random.default_rng(5)
         labels = np.append(rng.integers(1, 5, size=299), 5)
         case = dict(x=rng.standard_normal((300, 2)), labels=labels,
-                    batch=np.append(rng.permutation(299)[:31], 299), betas=(0.5, 0.5),
-                    seed=3, replay=20)
+                    visits=np.append(rng.permutation(299)[:31], 299), run=32, scored=set(),
+                    betas=(0.5, 0.5), seed=3, replay=20)
         assert neighbor_order(DataSet(case["x"])).dtype == np.uint16
         assert check_picker(case) == {"whole", "partial", "single"}
 
@@ -191,18 +214,23 @@ class TestNeighborBlocks:
         data = DataSet(rng.standard_normal((40, 2)))
         params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
         state = make_state(data, relabel_compact(rng.integers(1, 5, size=40)), params)
-        batch = rng.permutation(40)[:16]
+        visits = rng.permutation(40)[:16]
         order = neighbor_order(data)
         shuffled = order.copy()
-        shuffled[batch] = rng.permuted(order[batch], axis=1)
+        shuffled[visits] = rng.permuted(order[visits], axis=1)
         calls = []
         for o in (order, shuffled):
             picker_rng = np.random.default_rng(13)
-            members, sizes = opt.neighbor_blocks(state, batch, o, 1e6, 1e-9, picker_rng)
-            calls.append((members.tolist(), sizes.tolist(), picker_rng.bit_generator.state))
-        assert (shuffled[batch] != order[batch]).any()
+            members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, 16, set(), o,
+                                                              1e6, 1e-9, picker_rng)
+            calls.append((members.tolist(), sizes.tolist(), rows, drawn,
+                          picker_rng.bit_generator.state))
         assert calls[1] == calls[0]
-        assert calls[0][1] == state.counts[state.labels[batch] - 1].tolist()
+        # the first visit to each group is kept, the other visits skipped
+        kept = visits[calls[0][2]]
+        assert state.labels[kept].tolist() == list(dict.fromkeys(state.labels[visits].tolist()))
+        assert calls[0][1] == state.counts[state.labels[kept] - 1].tolist()
+        assert (shuffled[kept] != order[kept]).any()
 
 
 class TestGreedyIcl:
@@ -314,20 +342,82 @@ class TestRunScoring:
             assert runs.K == 1
             assert runs.icl == icl_exact(data, np.ones(data.n, dtype=int), params).total
 
+    @pytest.mark.parametrize("k_max", [20, 2, 1])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_combined_matches_every_visit_scored(self, b, k_max):
+        # the skip of whole groups already rejected, the runs and the rewinds
+        # against the one-visit loop that scores every block
+        data, params = _run_scoring_data(b)
+        config = SearchConfig(max_sweeps=4, beta1=0.2, beta2=0.04, k_max=k_max)
+        order = neighbor_order(data)
+        for seed in range(3):
+            init = relabel_compact(np.random.default_rng(seed).integers(1, 6, size=data.n))
+            sol = greedy_combined_icl(data, params, init, config, order,
+                                      np.random.default_rng(seed))
+            labels, icl, trace = combined_search(data, params, init, config, order,
+                                                 np.random.default_rng(seed))
+            assert sol.allocation.labels.tolist() == labels.labels.tolist()
+            assert sol.icl.hex() == icl.hex()
+            assert sol.trace == trace
+
+    def test_whole_group_scored_once_per_state(self, monkeypatch):
+        # no call scores a whole group already scored since the last applied
+        # move, and the search does skip visits
+        data, params = _run_scoring_data(2)
+        config = SearchConfig(max_sweeps=4, restarts=2, k_max=20, seed=5)
+        scored, skipped = set(), []
+        real_make_state, real_best_moves, real_apply_move, real_neighbor_blocks = (
+            icl_mod.make_state, icl_mod.best_moves, icl_mod.apply_move, opt.neighbor_blocks)
+
+        def make_state(*args):
+            scored.clear()
+            return real_make_state(*args)
+
+        def best_moves(state, members, sizes, allow_new=True):
+            moves = real_best_moves(state, members, sizes, allow_new)
+            for g, m in zip(moves.sources.tolist(), sizes):
+                if m == state.counts[g - 1]:
+                    assert g not in scored
+                    scored.add(g)
+            return moves
+
+        def apply_move(state, moves, j=0):
+            scored.clear()
+            real_apply_move(state, moves, j)
+
+        def neighbor_blocks(state, visits, *args):
+            picked = real_neighbor_blocks(state, visits, *args)
+            skipped.append(picked[3] - len(picked[2]))
+            return picked
+
+        monkeypatch.setattr(icl_mod, "make_state", make_state)
+        monkeypatch.setattr(icl_mod, "best_moves", best_moves)
+        monkeypatch.setattr(icl_mod, "apply_move", apply_move)
+        monkeypatch.setattr(opt, "neighbor_blocks", neighbor_blocks)
+        multi_start(data, params, config)
+        assert sum(skipped) > 0
+
     @pytest.mark.parametrize("algorithm", ["plain", "combined"])
     def test_run_doubles_and_never_shrinks(self, monkeypatch, algorithm):
-        # replays the run rule over the kernel calls of each restart: a call
-        # scores min(run, visits left in the sweep) rows, the run doubles after
-        # a call without an acceptance, up to RUN_MAX, and an acceptance keeps it
+        # replays the run rule over the kernel calls of each restart: a plain
+        # call scores min(run, visits left in the sweep) rows, a combined call
+        # run rows unless its picker drew the sweep's last visit; the run
+        # doubles after a call without an acceptance, up to RUN_MAX, and an
+        # acceptance or a picker with nothing to score keeps it
         data, params = _run_scoring_data(2)
         config = SearchConfig(max_sweeps=4, restarts=2, k_max=20, seed=5)
         events = []
-        real_make_state, real_best_moves, real_apply_move = (
-            icl_mod.make_state, icl_mod.best_moves, icl_mod.apply_move)
+        real_make_state, real_best_moves, real_apply_move, real_neighbor_blocks = (
+            icl_mod.make_state, icl_mod.best_moves, icl_mod.apply_move, opt.neighbor_blocks)
 
         def make_state(*args):
             events.append(("restart", 0))
             return real_make_state(*args)
+
+        def neighbor_blocks(state, visits, *args):
+            picked = real_neighbor_blocks(state, visits, *args)
+            events.append(("pick", picked[3] == len(visits)))
+            return picked
 
         def best_moves(state, members, sizes, allow_new=True):
             events.append(("call", len(sizes)))
@@ -338,6 +428,7 @@ class TestRunScoring:
             real_apply_move(state, moves, j)
 
         monkeypatch.setattr(icl_mod, "make_state", make_state)
+        monkeypatch.setattr(opt, "neighbor_blocks", neighbor_blocks)
         monkeypatch.setattr(icl_mod, "best_moves", best_moves)
         monkeypatch.setattr(icl_mod, "apply_move", apply_move)
         multi_start(data, params, config, algorithm=algorithm)
@@ -345,15 +436,22 @@ class TestRunScoring:
         after_acceptance = []
         for i, (kind, value) in enumerate(events):
             if kind == "restart":
-                run, pos = 1, 0
+                run, pos, accepted = 1, 0, False
+            elif kind == "pick":
+                at_end = value
             elif kind == "call":
-                assert value == min(run, data.n - pos)
-                if events[i - 1][0] == "accept":
+                if algorithm == "plain":
+                    assert value == min(run, data.n - pos)
+                else:
+                    assert value == run or at_end and value < run
+                if accepted:
                     after_acceptance.append(value)
+                accepted = False
                 if i + 1 == len(events) or events[i + 1][0] != "accept":
                     pos += value
                     run = min(2 * run, opt.RUN_MAX)
             else:
+                accepted = True
                 pos += value + 1
             pos %= data.n
         # the replay has seen an acceptance keep a run longer than one visit
