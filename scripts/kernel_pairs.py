@@ -17,10 +17,9 @@ seeded data and labels, and best_moves is timed on five fixed block sets:
 Then optimizer.neighbor_blocks is timed on 32-visit runs at the sizes of the
 galaxy grid (n = 82, b = 1) and of cluster-3000 (n = 3000, b = 3), each with
 5 groups, its order from that side's neighbor_order, and three size laws.
-Each side's picker is called with its own signature, read from its
-parameters: one that takes a run and a set of scored groups gets run = 32 and
-an empty set, so it draws the same 32 visits as one that does not, and skips
-every whole-group visit after the first to the same group. The size laws:
+Each call gets run = 32 and an empty set of scored groups, so both sides draw
+the same 32 visits and skip every whole-group visit after the first to the
+same group. The size laws:
 
 - whole: Beta(1e6, 1e-9), so every block is its whole group;
 - mixed: Beta(0.2, 0.04), cluster-3000's law: whole, partial and single blocks;
@@ -41,15 +40,14 @@ n = 3000.
 A pair times --calls calls (or the builds above) on each side, the side
 that runs first alternating from pair to pair. The report gives each side's
 median µs per call (or build) over the pairs with its quartiles in brackets,
-and how many pairs each side won; a pair of equal times counts for neither.
-No file is written.
+computed inclusively as bench_pairs.py does, and how many pairs each side
+won; a pair of equal times counts for neither. No file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import statistics
 import sys
 import time
@@ -99,23 +97,13 @@ def _per_call_us(pkg, state, members, sizes, calls):
     return (time.perf_counter() - start) / calls * 1e6
 
 
-def _picker(pkg):
-    """pkg's neighbor_blocks on one run of PICKER_RUN visits, in its own signature."""
-    neighbor_blocks = pkg.optimizer.neighbor_blocks
-    if "run" in inspect.signature(neighbor_blocks).parameters:
-        return lambda state, batch, order, betas, rng: neighbor_blocks(
-            state, batch, PICKER_RUN, set(), order, *betas, rng)
-    return lambda state, batch, order, betas, rng: neighbor_blocks(state, batch, order, *betas,
-                                                                   rng)
-
-
 def _picker_us(pkg, state, order, batches, betas, calls):
     """µs per neighbor_blocks call over calls runs, the size draws seeded alike on both sides."""
-    pick = _picker(pkg)
+    neighbor_blocks = pkg.optimizer.neighbor_blocks
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     for c in range(calls):
-        pick(state, batches[c % len(batches)], order, betas, rng)
+        neighbor_blocks(state, batches[c % len(batches)], PICKER_RUN, set(), order, *betas, rng)
     return (time.perf_counter() - start) / calls * 1e6
 
 
@@ -142,7 +130,8 @@ def _order_us(pkg, x, metric, builds):
 
 def _spread(times):
     """Median [lower quartile, upper quartile] of one side's times."""
-    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1
+                      else times * 3)
     return f"{median:9.1f} [{q1:9.1f}, {q3:9.1f}]"
 
 

@@ -3,13 +3,10 @@
 Exit codes: 0 success, 1 validation failure (flags, hyperparameters or data
 content), 2 I/O failure, 3 numerical failure in every restart. All commands
 are deterministic for a fixed --seed. The combined search builds one --metric
-neighbour order per command for all restarts and grid points (n^2 bytes up to
-n = 256, 2*n^2 up to 65,536, then 4*n^2), sorting each row as packed
-(distance, index) integer keys in two reused 64 x n float buffers; the rows
-with keys that share their distance bits are re-sorted together, by one
-stable argsort of their exact distances in key order. sweep runs its grid
-points in turn. A cluster, sweep or generate output whose directory does not
-exist fails (exit 2) before the data is read or sampled.
+neighbour order per command for all restarts and grid points: n^2 bytes up
+to n = 256, 2*n^2 up to 65,536, then 4*n^2. sweep runs its grid points in
+turn. A cluster, sweep or generate output whose directory does not exist
+fails (exit 2) before the data is read or sampled.
 """
 
 from __future__ import annotations

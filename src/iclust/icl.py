@@ -256,8 +256,7 @@ def refresh_state(state: ClusterState) -> None:
     sizes = counts[:k]
     means = np.zeros((k + 1, state.data.b))
     scatters = np.zeros((k + 1, state.data.b, state.data.b))
-    means[:k], scatters[:k] = _block_stats(state.columns, np.argsort(labels, kind="stable"),
-                                           sizes, np.cumsum(sizes) - sizes)
+    means[:k], scatters[:k] = _block_stats(state.columns, np.argsort(labels, kind="stable"), sizes)
     evidence, bad = _batch_evidence(counts, means, scatters, params, state.count_terms)
     if bad.any():
         raise NumericalError(_NOT_PD)
@@ -301,7 +300,7 @@ class MoveBatch:
     evidence: np.ndarray
 
 
-def _block_stats(columns, members, sizes, starts):
+def _block_stats(columns, members, sizes):
     """Means (B, b) and scatters (B, b, b) of the blocks concatenated in members.
 
     columns is a state's b-major data. np.add.reduceat sums each contiguous
@@ -310,6 +309,7 @@ def _block_stats(columns, members, sizes, starts):
     [p, q] and [q, p], so the scratch stays near two b x M arrays. That
     matches from_points to rounding, and a one-row block exactly.
     """
+    starts = np.cumsum(sizes) - sizes
     cols = columns[:, members]
     means = (np.add.reduceat(cols, starts, axis=1) / sizes).T
     cols -= np.repeat(means.T, sizes, axis=1)
@@ -364,10 +364,8 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
         part = (sizes == 1) | (sizes != counts[s])
         b_means, b_scats = state.means[s], state.scatters[s]
         if part.any():
-            p_sizes = sizes[part]
             b_means[part], b_scats[part] = _block_stats(
-                state.columns, members[np.repeat(part, sizes)], p_sizes,
-                np.cumsum(p_sizes) - p_sizes)
+                state.columns, members[np.repeat(part, sizes)], sizes[part])
 
     # one signed merge per column, aligned with the state's rows: the block
     # joins row t with weight m, the spare empty row included (which
@@ -397,7 +395,7 @@ def best_moves(state: ClusterState, members, sizes, allow_new: bool = True) -> M
         rest = [np.setdiff1d(np.flatnonzero(state.labels == sources[j]),
                              members[bounds[j]:bounds[j + 1]]) for j in redo]
         means_stack[redo, rs], scat_stack[redo, rs] = _block_stats(
-            state.columns, np.concatenate(rest), r_sizes, np.cumsum(r_sizes) - r_sizes)
+            state.columns, np.concatenate(rest), r_sizes)
         ev_stack[redo, rs], bad[redo, rs] = _batch_evidence(
             r_sizes, means_stack[redo, rs], scat_stack[redo, rs], params, state.count_terms)
 

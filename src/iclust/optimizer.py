@@ -8,8 +8,8 @@ than EPSILON. The combined variant instead proposes a whole
 nearest-neighbour block from the visited observation's group, with the
 block size drawn from a Beta-Binomial, which lets the search escape local
 optima that single-observation moves cannot leave. One batched picker,
-neighbor_blocks, reads a block that is its whole group from a stable sort
-of the labels, and every other block off one neighbour order per dataset.
+neighbor_blocks, reads every block, whole groups included, off one
+neighbour order per dataset.
 
 The loop scores a run of upcoming visits in one best_moves call, every block
 against the same state, and applies the first accepted move of the run. Most
@@ -134,14 +134,12 @@ def neighbor_blocks(state, visits: np.ndarray, run: int, scored: set, order: np.
     same run is skipped too.
 
     Visit i's block is the first _block_size of its group in order[i] =
-    neighbor_order(data)[i], i first. A block that is its whole group holds
-    the same members in index order instead, read from one stable sort of
-    the labels; only the other blocks gather their rows of order and mask
-    them by group. Both read the labels cast to the narrowest type that holds
-    K, which numpy radix-sorts. The sort, then row by row the partial blocks'
-    group members nearest first, make one pool, and each block is a run of
-    it. Returns the kept blocks concatenated as intp, their sizes, the
-    positions in visits of their visits, and the number of visits drawn.
+    neighbor_order(data)[i], i first, whether or not that is the whole group.
+    The kept visits' rows of order are gathered once and masked by group,
+    under the labels cast to the narrowest type that holds K; each block is a
+    prefix of its row's hits. Returns the kept blocks concatenated as intp,
+    their sizes, the positions in visits of their visits, and the number of
+    visits drawn.
     """
     labels, counts = state.labels, state.counts
     rows, sizes = [], []
@@ -160,22 +158,15 @@ def neighbor_blocks(state, visits: np.ndarray, run: int, scored: set, order: np.
     if not rows:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), rows, p + 1
     batch = visits[rows]
-    labels = labels[batch]
-    groups = counts[labels - 1]
     sizes = np.array(sizes, dtype=np.int64)
-    part = sizes < groups
-    small = state.labels.astype(np.min_scalar_type(state.k))
-    pool = small.argsort(kind="stable")
-    heads = counts.cumsum()[labels - 1] - groups  # where each group starts in pool
-    if part.any():
-        rows_part = batch[part]
-        ranked = order[rows_part]
-        hits = (small.take(ranked) == small[rows_part, None]).ravel().nonzero()[0]
-        pool = np.concatenate((pool, ranked.ravel()[hits]), dtype=np.intp)
-        heads[part] = state.data.n + groups[part].cumsum() - groups[part]
+    small = labels.astype(np.min_scalar_type(state.k))
+    ranked = order[batch]
+    hits = (small.take(ranked) == small[batch, None]).ravel().nonzero()[0]
+    groups = counts[labels[batch] - 1]
+    heads = groups.cumsum() - groups  # where each row's group members start in hits
     ends = sizes.cumsum()
-    return (pool[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)], sizes, rows,
-            p + 1)
+    picks = hits[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)]
+    return ranked.ravel()[picks].astype(np.intp), sizes, rows, p + 1
 
 
 def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,

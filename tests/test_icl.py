@@ -742,7 +742,7 @@ class TestBlockStatistics:
         params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
         state = make_state(DataSet(x), np.array([1, 1, 1, 2]), params)
         members, sizes = np.array([1, 0, 1, 2, 3]), np.array([1, 2, 1, 1])
-        means, scatters = _block_stats(state.columns, members, sizes, np.array([0, 1, 3, 4]))
+        means, scatters = _block_stats(state.columns, members, sizes)
         for j, block in enumerate(([1], [0, 1], [2], [3])):
             ref = GroupStats.from_points(x[block])
             # from_points's mean has no -0.0, the column of two -0.0 included

@@ -251,7 +251,7 @@ class TestNeighborOrder:
         gathered = 8 * b * members.size
         tracemalloc.start()
         try:
-            _block_stats(columns, members, sizes, np.cumsum(sizes) - sizes)
+            _block_stats(columns, members, sizes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

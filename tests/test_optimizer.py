@@ -128,9 +128,9 @@ def picker_cases(draw):
 
 def check_picker(case):
     """neighbor_blocks against the one-visit oracle over the visits it drew:
-    the same draws, the whole-group visits of a scored group skipped, each
-    kept whole-group block its members in index order and every other one
-    the oracle's nearest-first prefix. Returns the kinds of blocks seen."""
+    the same draws, the whole-group visits of a scored group skipped, and
+    every kept block, whole groups included, the oracle's nearest-first
+    prefix. Returns the kinds of blocks seen, told apart by size."""
     data = DataSet(case["x"])
     params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
                            omega=1.0)
@@ -166,11 +166,8 @@ def check_picker(case):
     for p, block in zip(rows, np.split(members, np.cumsum(sizes)[:-1])):
         i, oracle = visits[p], expected[p]
         group = np.flatnonzero(state.labels == state.labels[i])
-        if block.size == group.size:
-            kinds.add("whole")
-            assert block.tolist() == group.tolist()
-            continue
-        kinds.add("single" if block.size == 1 else "partial")
+        kinds.add("whole" if block.size == group.size else
+                  "single" if block.size == 1 else "partial")
         assert block.tolist() == oracle.tolist()
         # i first, then a prefix of its group ranked by (distance, index)
         others = sorted((j for j in group if j != i), key=lambda j: (dist[i, j], j))
@@ -207,30 +204,27 @@ class TestNeighborBlocks:
         assert neighbor_order(DataSet(case["x"])).dtype == np.uint16
         assert check_picker(case) == {"whole", "partial", "single"}
 
-    def test_whole_group_blocks_do_not_read_the_order(self):
-        # eta -> 1 makes every block its whole group, which must come from the
-        # labels alone: permuting the visited rows of the order changes nothing
+    def test_every_block_whole_keeps_the_first_visit_to_each_group(self):
+        # eta -> 1 makes every block its whole group: the first visit to each
+        # group is kept with its group's count as size, the later ones are
+        # skipped, and each kept block is the oracle's, nearest first
         rng = np.random.default_rng(8)
         data = DataSet(rng.standard_normal((40, 2)))
         params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(2), nu=2.5, omega=1.0)
         state = make_state(data, relabel_compact(rng.integers(1, 5, size=40)), params)
         visits = rng.permutation(40)[:16]
         order = neighbor_order(data)
-        shuffled = order.copy()
-        shuffled[visits] = rng.permuted(order[visits], axis=1)
-        calls = []
-        for o in (order, shuffled):
-            picker_rng = np.random.default_rng(13)
-            members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, 16, set(), o,
-                                                              1e6, 1e-9, picker_rng)
-            calls.append((members.tolist(), sizes.tolist(), rows, drawn,
-                          picker_rng.bit_generator.state))
-        assert calls[1] == calls[0]
-        # the first visit to each group is kept, the other visits skipped
-        kept = visits[calls[0][2]]
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, 16, set(), order,
+                                                          1e6, 1e-9, rng)
+        expected = [neighbor_block(i, state.labels, order, 1e6, 1e-9, twin) for i in visits]
+        assert drawn == visits.size
+        assert rng.bit_generator.state == twin.bit_generator.state
+        kept = visits[rows]
         assert state.labels[kept].tolist() == list(dict.fromkeys(state.labels[visits].tolist()))
-        assert calls[0][1] == state.counts[state.labels[kept] - 1].tolist()
-        assert (shuffled[kept] != order[kept]).any()
+        assert sizes.tolist() == state.counts[state.labels[kept] - 1].tolist()
+        blocks = np.split(members, np.cumsum(sizes)[:-1])
+        assert [block.tolist() for block in blocks] == [expected[p].tolist() for p in rows]
 
 
 class TestGreedyIcl:
