@@ -27,6 +27,10 @@ same group. The size laws:
 
 The visits and the size draws come from fixed seeds, the same on both sides,
 and the "whole %" column gives the share of whole-group draws among them.
+The picker records the size stream's position after each kept visit's draw,
+so its rows include those state reads. The size replay they replace ran in
+optimizer._sweeps after an accepted row, outside the timed call, so these
+rows do not show that trade; judge it end to end, with bench_pairs.py.
 
 Last, io.neighbor_order is timed, in µs per build, under both metrics on
 standard normal data at the galaxy grid's size (n = 82, b = 1), at the
@@ -107,15 +111,18 @@ def _picker_us(pkg, state, order, batches, betas, calls):
     return (time.perf_counter() - start) / calls * 1e6
 
 
-def _whole_share(pkg, state, batches, betas, calls):
-    """Per cent of whole-group size draws in the runs that _picker_us times."""
+def _whole_share(state, batches, betas, calls):
+    """Per cent of whole-group size draws in the runs that _picker_us times.
+
+    The sizes are drawn here under the picker's law, max(r, 1) with r ~
+    Binomial(m, eta) and eta ~ Beta(*betas), from the same seed.
+    """
     rng = np.random.default_rng(0)
     whole = total = 0
     for c in range(calls):
-        groups = state.counts[state.labels[batches[c % len(batches)]] - 1].tolist()
-        sizes = pkg.optimizer._block_sizes(groups, *betas, rng)
-        whole += sum(size == m for size, m in zip(sizes, groups))
-        total += len(groups)
+        for m in state.counts[state.labels[batches[c % len(batches)]] - 1].tolist():
+            whole += max(int(rng.binomial(m, rng.beta(*betas))), 1) == m
+            total += 1
     return 100.0 * whole / total
 
 
@@ -195,7 +202,7 @@ def main(argv=None) -> int:
         for name, beta1, beta2 in PICKER_CASES:
             times = _pairs(lambda i: _picker_us(sides[i], states[i], orders[i], batches,
                                                 (beta1, beta2), args.calls), args.pairs)
-            share = _whole_share(sides[0], states[0], batches, (beta1, beta2), args.calls)
+            share = _whole_share(states[0], batches, (beta1, beta2), args.calls)
             _report(f"n={n:<5} {name:>10}", times, f" {share:8.1f}")
 
     print(f"\n{'order build':>26} {'A µs [quartiles]':>33} {'B µs [quartiles]':>33} "

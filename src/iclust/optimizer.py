@@ -17,17 +17,17 @@ proposals are rejected, and a rejected visit leaves the state as it was, so
 every row up to the first accepted one is exactly what scoring one visit at a
 time would have computed. The rows after it were scored against a state that
 the move changes, so they are dropped and the loop resumes at the next
-visit. A combined run draws its blocks under the current labels; after an
-acceptance the block stream is rewound and the size draws up to the accepted
-visit are made again, so the stream ends where the one-at-a-time loop leaves
-it. A block that is its whole group is scored from the group's state row, so
-until the next applied move it would get the same row and the same rejection
-again: the combined loop keeps the groups whose whole-group block it has
-scored since the last applied move, and the picker still draws such a visit's
-size but skips its block. A row whose evidence failed raises NumericalError
-only when no accepted row comes before it. The run starts at one scored block,
-doubles after a run without an acceptance up to RUN_MAX scored blocks and
-never shrinks; seeded output is the same for any run length.
+visit. A combined run draws its blocks under the current labels and records
+the block stream's position after each kept visit's draw; after an acceptance
+the stream is set to the accepted visit's position, where the one-at-a-time
+loop leaves it. A block that is its whole group is scored from the group's
+state row, so until the next applied move it would get the same row and the
+same rejection again: the combined loop keeps the groups whose whole-group
+block it has scored since the last applied move, and the picker still draws
+such a visit's size but skips its block. A row whose evidence failed raises
+NumericalError only when no accepted row comes before it. The run starts at
+one scored block, doubles after a run without an acceptance up to RUN_MAX
+scored blocks and never shrinks; seeded output is the same for any run length.
 
 Restarts are independent: each gets its own RNG stream and random initial
 allocation. Each final allocation is rescored from its labels by
@@ -112,51 +112,44 @@ def relabel_compact(z) -> Allocation:
     return Allocation(rank[np.searchsorted(uniq, arr)])
 
 
-def _block_size(m: int, beta1: float, beta2: float, rng) -> int:
-    """A block size in a group of m: max(r, 1), r ~ Binomial(m, eta), eta ~ Beta(beta1, beta2)."""
-    return max(int(rng.binomial(m, rng.beta(beta1, beta2))), 1)
-
-
-def _block_sizes(groups, beta1: float, beta2: float, rng) -> list:
-    """_block_size for each group size m in turn."""
-    return [_block_size(m, beta1, beta2, rng) for m in groups]
-
-
 def neighbor_blocks(state, visits: np.ndarray, run: int, scored: set, order: np.ndarray,
                     beta1: float, beta2: float, rng):
     """Nearest-neighbour blocks of the next visits, each inside its own group.
 
-    Draws the block size of each visit in turn, stopping after run blocks
-    are kept or at the end of visits, which is non-empty. A visit whose
+    Draws each visit's block size in turn, max(r, 1) with r ~ Binomial(m,
+    eta) and eta ~ Beta(beta1, beta2) in a group of m, stopping after run
+    blocks are kept or at the end of visits, which is non-empty. A visit whose
     block is its whole group is skipped when that group is in scored, the
     groups whose whole-group block was scored since the last applied move;
     every kept whole group is added to scored, so a later visit to it in the
     same run is skipped too.
 
-    Visit i's block is the first _block_size of its group in order[i] =
+    Visit i's block is the first size members of its group in order[i] =
     neighbor_order(data)[i], i first, whether or not that is the whole group.
     The kept visits' rows of order are gathered once and masked by group,
     under the labels cast to the narrowest type that holds K; each block is a
     prefix of its row's hits. Returns the kept blocks concatenated as intp,
-    their sizes, the positions in visits of their visits, and the number of
-    visits drawn.
+    their sizes, the positions in visits of their visits, the number of
+    visits drawn, and the rng.bit_generator.state recorded after each kept
+    visit's draw, where one visit at a time leaves the stream.
     """
     labels, counts = state.labels, state.counts
-    rows, sizes = [], []
+    rows, sizes, after = [], [], []
     for p, i in enumerate(visits):
         g = labels.item(i)
         m = counts.item(g - 1)
-        size = _block_size(m, beta1, beta2, rng)
+        size = max(int(rng.binomial(m, rng.beta(beta1, beta2))), 1)
         if size == m:
             if g in scored:
                 continue
             scored.add(g)
         rows.append(p)
         sizes.append(size)
+        after.append(rng.bit_generator.state)
         if len(rows) == run:
             break
     if not rows:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), rows, p + 1
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), rows, p + 1, after
     batch = visits[rows]
     sizes = np.array(sizes, dtype=np.int64)
     small = labels.astype(np.min_scalar_type(state.k))
@@ -166,7 +159,7 @@ def neighbor_blocks(state, visits: np.ndarray, run: int, scored: set, order: np.
     heads = groups.cumsum() - groups  # where each row's group members start in hits
     ends = sizes.cumsum()
     picks = hits[np.arange(ends[-1]) + (heads - ends + sizes).repeat(sizes)]
-    return ranked.ravel()[picks].astype(np.intp), sizes, rows, p + 1
+    return ranked.ravel()[picks].astype(np.intp), sizes, rows, p + 1, after
 
 
 def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
@@ -195,8 +188,7 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
                 sizes, rows = np.ones(members.size, dtype=np.int64), range(members.size)
                 drawn = members.size
             else:
-                saved = block_rng.bit_generator.state
-                members, sizes, rows, drawn = neighbor_blocks(
+                members, sizes, rows, drawn, after = neighbor_blocks(
                     state, visits[pos:], run, scored, order, config.beta1, config.beta2,
                     block_rng)
                 if not rows:
@@ -210,11 +202,9 @@ def _sweeps(data: DataSet, params: HyperParams, init, config: SearchConfig,
                 continue
             j = int(stops[0])
             p = rows[j]
-            if order is not None and p + 1 < drawn:
+            if order is not None:
                 # the draws past visit p were made under labels this move changes
-                block_rng.bit_generator.state = saved
-                _block_sizes(state.counts[state.labels[visits[pos:pos + p + 1]] - 1].tolist(),
-                             config.beta1, config.beta2, block_rng)
+                block_rng.bit_generator.state = after[j]
             # raises NumericalError on a failed row, where one visit at a time would
             icl_mod.apply_move(state, moves, j)
             scored.clear()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,13 @@ def icl_cases(draw):
     return DataSet(np.array(cells).reshape(n, b)), z, params
 
 
+def moved_prior(params, mu, factor):
+    """params with its centre at mu and its omega (2 delta) times factor."""
+    if isinstance(params, UvHyperParams):
+        return replace(params, mu=float(mu[0]), delta=params.delta * factor)
+    return replace(params, mu=mu, omega=params.omega * factor)
+
+
 class TestIclExact:
     def test_additivity(self, small_data, mv_params):
         z = Allocation(np.array([1] * 4 + [2] * 4 + [3] * 4))
@@ -306,6 +314,29 @@ class TestIclExact:
         v1 = icl_exact(x, z, params).total
         v2 = icl_exact(DataSet(x.values[perm]), relabel_compact(z.labels[perm]), params).total
         assert v1 == pytest.approx(v2, abs=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=icl_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_rotation_of_data_and_mu_changes_nothing(self, case, seed):
+        # with xi = omega I the model is invariant under an orthogonal Q
+        # applied to every row and to mu
+        x, z, params = case
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((x.b, x.b)))
+        v1 = icl_exact(x, z, params).total
+        v2 = icl_exact(DataSet(x.values @ q.T), z,
+                       moved_prior(params, q @ np.atleast_1d(params.mu), 1.0)).total
+        assert v2 == pytest.approx(v1, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=icl_cases(), k=st.integers(-60, 60))
+    def test_power_of_two_scale_shifts_every_icl_by_n_b_k_log_2(self, case, k):
+        # x, mu -> 2^k x, 2^k mu with omega -> 4^k omega is the same model in
+        # other units: the density of every row gains the Jacobian 2^(-b k)
+        x, z, params = case
+        v1 = icl_exact(x, z, params).total
+        v2 = icl_exact(DataSet(x.values * 2.0**k), z,
+                       moved_prior(params, np.atleast_1d(params.mu) * 2.0**k, 4.0**k)).total
+        assert v2 == pytest.approx(v1 - x.n * x.b * k * math.log(2), rel=1e-12)
 
     def test_single_point_at_mu_total(self, mv_params):
         data = DataSet(np.zeros((1, 2)))

@@ -123,14 +123,16 @@ def picker_cases(draw):
                 visits=np.array(visits, dtype=np.int64), run=draw(st.integers(1, n)),
                 scored=draw(st.sets(st.integers(1, k))),
                 betas=draw(st.sampled_from([(0.1, 0.01), (0.5, 0.5), (2.0, 2.0), (1e-9, 1e6)])),
-                seed=draw(st.integers(0, 2**32 - 1)), replay=draw(st.integers(0, n - 1)))
+                seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def check_picker(case):
     """neighbor_blocks against the one-visit oracle over the visits it drew:
-    the same draws, the whole-group visits of a scored group skipped, and
-    every kept block, whole groups included, the oracle's nearest-first
-    prefix. Returns the kinds of blocks seen, told apart by size."""
+    the same draws, the whole-group visits of a scored group skipped, every
+    kept block, whole groups included, the oracle's nearest-first prefix,
+    and each kept visit's recorded stream position the oracle's after that
+    visit. Returns the sizes of the blocks seen by kind, kinds told apart
+    by size."""
     data = DataSet(case["x"])
     params = MvHyperParams(alpha=1.0, tau=0.1, mu=np.zeros(data.b), nu=data.b + 0.5,
                            omega=1.0)
@@ -140,25 +142,30 @@ def check_picker(case):
     scored = {g for g in case["scored"] if g <= state.k}
     seen = set(scored)
     rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
-    saved = rng.bit_generator.state
-    members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, run, scored, order,
-                                                      beta1, beta2, rng)
-    expected = [neighbor_block(i, state.labels, order, beta1, beta2, twin)
-                for i in visits[:drawn]]
+    members, sizes, rows, drawn, after = opt.neighbor_blocks(state, visits, run, scored, order,
+                                                             beta1, beta2, rng)
+    expected, positions = [], []
+    for i in visits[:drawn]:
+        expected.append(neighbor_block(i, state.labels, order, beta1, beta2, twin))
+        positions.append(twin.bit_generator.state)
     assert rng.bit_generator.state == twin.bit_generator.state
     # the skipped visits are exactly the whole-group visits of a group scored
     # before the call or kept earlier in it
-    kept, kinds = [], set()
+    kept, kinds = [], {}
     for p, (i, oracle) in enumerate(zip(visits[:drawn], expected)):
         g = int(state.labels[i])
         if oracle.size == state.counts[g - 1]:
             if g in seen:
-                kinds.add("skipped")
+                kinds.setdefault("skipped", []).append(oracle.size)
                 continue
             seen.add(g)
         kept.append(p)
     assert rows == kept
     assert scored == seen
+    # after an accepted row the loop sets the stream to that row's recorded
+    # position, which must be where one visit at a time leaves it after the
+    # row's visit, the skipped visits before it included
+    assert after == [positions[p] for p in rows]
     # it stops once run blocks are kept, or at the end of the visits
     assert drawn == (rows[-1] + 1 if len(rows) == run else len(visits))
     assert members.dtype == np.intp
@@ -166,24 +173,13 @@ def check_picker(case):
     for p, block in zip(rows, np.split(members, np.cumsum(sizes)[:-1])):
         i, oracle = visits[p], expected[p]
         group = np.flatnonzero(state.labels == state.labels[i])
-        kinds.add("whole" if block.size == group.size else
-                  "single" if block.size == 1 else "partial")
+        kind = ("whole" if block.size == group.size else
+                "single" if block.size == 1 else "partial")
+        kinds.setdefault(kind, []).append(block.size)
         assert block.tolist() == oracle.tolist()
         # i first, then a prefix of its group ranked by (distance, index)
         others = sorted((j for j in group if j != i), key=lambda j: (dist[i, j], j))
         assert block.tolist() == [i] + others[:len(block) - 1]
-    # after the accepted row of visit p the loop rewinds and redraws the
-    # sizes up to p, skipped visits included, which must leave the stream
-    # where one visit at a time does
-    if rows:
-        p = rows[case["replay"] % len(rows)]
-        rng.bit_generator.state = saved
-        opt._block_sizes(state.counts[state.labels[visits[:p + 1]] - 1].tolist(), beta1, beta2,
-                         rng)
-        twin = np.random.default_rng(case["seed"])
-        for i in visits[:p + 1]:
-            neighbor_block(i, state.labels, order, beta1, beta2, twin)
-        assert rng.bit_generator.state == twin.bit_generator.state
     return kinds
 
 
@@ -200,9 +196,22 @@ class TestNeighborBlocks:
         labels = np.append(rng.integers(1, 5, size=299), 5)
         case = dict(x=rng.standard_normal((300, 2)), labels=labels,
                     visits=np.append(rng.permutation(299)[:31], 299), run=32, scored=set(),
-                    betas=(0.5, 0.5), seed=3, replay=20)
+                    betas=(0.5, 0.5), seed=3)
         assert neighbor_order(DataSet(case["x"])).dtype == np.uint16
-        assert check_picker(case) == {"whole", "partial", "single"}
+        assert set(check_picker(case)) == {"whole", "partial", "single"}
+
+    def test_uint16_order_with_multi_member_whole_blocks(self):
+        # eta -> 1 makes every block its whole group at n = 300: the first
+        # visit to each of four groups of about 75 members is kept, and its
+        # whole block and recorded position are compared with the oracle's
+        rng = np.random.default_rng(6)
+        case = dict(x=rng.standard_normal((300, 2)), labels=rng.integers(1, 5, size=300),
+                    visits=rng.permutation(300)[:32], run=32, scored=set(),
+                    betas=(1e6, 1e-9), seed=4)
+        assert neighbor_order(DataSet(case["x"])).dtype == np.uint16
+        kinds = check_picker(case)
+        assert set(kinds) == {"whole", "skipped"}
+        assert len(kinds["whole"]) == 4 and min(kinds["whole"]) > 1
 
     def test_every_block_whole_keeps_the_first_visit_to_each_group(self):
         # eta -> 1 makes every block its whole group: the first visit to each
@@ -215,11 +224,12 @@ class TestNeighborBlocks:
         visits = rng.permutation(40)[:16]
         order = neighbor_order(data)
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
-        members, sizes, rows, drawn = opt.neighbor_blocks(state, visits, 16, set(), order,
-                                                          1e6, 1e-9, rng)
+        members, sizes, rows, drawn, after = opt.neighbor_blocks(state, visits, 16, set(),
+                                                                 order, 1e6, 1e-9, rng)
         expected = [neighbor_block(i, state.labels, order, 1e6, 1e-9, twin) for i in visits]
         assert drawn == visits.size
         assert rng.bit_generator.state == twin.bit_generator.state
+        assert len(after) == len(rows)
         kept = visits[rows]
         assert state.labels[kept].tolist() == list(dict.fromkeys(state.labels[visits].tolist()))
         assert sizes.tolist() == state.counts[state.labels[kept] - 1].tolist()
@@ -796,7 +806,8 @@ class TestNearDuplicates:
 @st.composite
 def shifted_searches(draw):
     # data and mu on a 2^-20 grid with |x| < 2^10 and an integer shift with
-    # |c| <= 2^20, so x + c and mu + c are exact and so is (x + c) - (mu + c)
+    # |c| <= 2^20, so x + c and mu + c are exact and so is (x + c) - (mu + c);
+    # 2^k x and 2^k mu are exact too for |k| <= 60
     b = draw(st.integers(1, 3))
     n = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -830,6 +841,29 @@ class TestShiftInvariance:
         assert moved.allocation.labels.tolist() == base.allocation.labels.tolist()
         assert moved.icl == base.icl
         assert moved.restart_bests == base.restart_bests
+
+
+class TestScaleInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(case=shifted_searches(), k=st.integers(-60, 60))
+    def test_power_of_two_scale_keeps_every_search_label(self, case, k):
+        # x, mu -> 2^k x, 2^k mu with omega -> 4^k omega shifts every ICL by
+        # the same constant, so no move gains more or less
+        def search(k):
+            data, mu = DataSet(case["x"] * 2.0**k), case["mu"] * 2.0**k
+            if case["uv"]:
+                params = UvHyperParams(alpha=1.5, tau=0.1, mu=float(mu[0]), gamma=1.0,
+                                       delta=0.5 * 4.0**k)
+            else:
+                params = MvHyperParams(alpha=1.5, tau=0.1, mu=mu, nu=data.b + 0.5,
+                                       omega=0.5 * 4.0**k)
+            config = SearchConfig(max_sweeps=3, restarts=2, k_max=8, beta1=0.5, beta2=0.5,
+                                  seed=case["seed"])
+            return multi_start(data, params, config, algorithm=case["algorithm"])
+
+        base, scaled = search(0), search(k)
+        assert scaled.K == base.K
+        assert scaled.allocation.labels.tolist() == base.allocation.labels.tolist()
 
 
 class TestSeededOutputs:
